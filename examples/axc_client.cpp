@@ -1,7 +1,10 @@
 /// Example: typed command-line client for axc_server.
 ///
-/// One subcommand per service endpoint; responses print as one flat
-/// key=value line per field so smoke scripts can grep them. Non-Ok
+/// One subcommand per service endpoint (its endpoint_name with dashes),
+/// found through the endpoint table; each command lists its flags once,
+/// and every response prints through one generic printer driven by the
+/// response's wire fields: a flat key=value line of its scalar fields, then
+/// one line per list element, so smoke scripts can grep them. Non-Ok
 /// statuses (bad_request, overloaded, deadline_exceeded, ...) exit 3,
 /// transport failures exit 1, usage errors exit 2.
 ///
@@ -16,9 +19,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -99,454 +105,266 @@ using axc::cli::require_double;
 using axc::cli::require_long;
 using axc::cli::usage_error;
 
-axc::arith::FullAdderKind parse_cell(const char* text) {
-  const long raw = require_long(kUsage, "--cell", text, 0,
-                                axc::arith::kFullAdderKindCount - 1);
-  return static_cast<axc::arith::FullAdderKind>(raw);
+namespace svc = axc::service;
+
+// --- Request flags --------------------------------------------------------
+
+/// One flag of a typed command and how it sets the request.
+struct Flag {
+  const char* name;
+  bool takes_value;
+  std::function<void(const char*)> set;
+};
+
+template <class T>
+Flag number(const char* name, T& field, long min, long max) {
+  return {name, true, [name, &field, min, max](const char* text) {
+            field = static_cast<T>(require_long(kUsage, name, text, min, max));
+          }};
 }
 
-axc::arith::Mul2x2Kind parse_block(const char* text) {
-  const std::string name = text;
-  if (name == "accurate") return axc::arith::Mul2x2Kind::Accurate;
-  if (name == "soa") return axc::arith::Mul2x2Kind::SoA;
-  if (name == "ours") return axc::arith::Mul2x2Kind::Ours;
-  usage_error(kUsage, "--block must be accurate|soa|ours, got '" + name + "'");
+Flag percent(const char* name, double& field) {
+  return {name, true, [name, &field](const char* text) {
+            field = require_double(kUsage, name, text, 0.0, 100.0);
+          }};
 }
 
-void print_characterize(const axc::service::CharacterizeResponse& r) {
-  std::printf("area_ge=%.6f power_nw=%.6f gate_count=%llu\n", r.area_ge,
-              r.power_nw, static_cast<unsigned long long>(r.gate_count));
+Flag toggle(const char* name, bool& field, bool value) {
+  return {name, false, [&field, value](const char*) { field = value; }};
 }
 
-template <class ClientT>
-int run_characterize_adder(ClientT& client, int argc,
-                           char** argv, int i) {
-  axc::service::CharacterizeAdderRequest req;
+template <class E>
+Flag choice(const char* name, E& field,
+            std::vector<std::pair<std::string, E>> names) {
+  return {name, true, [name, &field, names](const char* text) {
+            std::string valid;
+            for (const auto& [word, value] : names) {
+              if (word == text) {
+                field = value;
+                return;
+              }
+              valid += (valid.empty() ? "" : "|") + word;
+            }
+            usage_error(kUsage, std::string(name) + " must be " + valid +
+                                    ", got '" + text + "'");
+          }};
+}
+
+Flag cell(const char* name, axc::arith::FullAdderKind& field) {
+  return number(name, field, 0, axc::arith::kFullAdderKindCount - 1);
+}
+
+Flag block(const char* name, axc::arith::Mul2x2Kind& field) {
+  using axc::arith::Mul2x2Kind;
+  return choice(name, field, {{"accurate", Mul2x2Kind::Accurate},
+                              {"soa", Mul2x2Kind::SoA},
+                              {"ours", Mul2x2Kind::Ours}});
+}
+
+Flag seed(std::uint64_t& field) {
+  return number("--seed", field, 0, 1L << 62);
+}
+
+/// The command-line flags of each endpoint a user may call; an endpoint
+/// without a flags() overload (cache_insert) has no command.
+std::vector<Flag> flags(svc::PingRequest&) { return {}; }
+std::vector<Flag> flags(svc::ShutdownRequest&) { return {}; }
+
+std::vector<Flag> flags(svc::CharacterizeAdderRequest& r) {
+  using svc::AdderFamily;
+  return {choice("--family", r.family,
+                 {{"gear", AdderFamily::Gear},
+                  {"loa", AdderFamily::Loa},
+                  {"etai", AdderFamily::Etai},
+                  {"ripple", AdderFamily::Ripple}}),
+          number("--width", r.width, 1, 64),
+          number("--param-a", r.param_a, 0, 64),
+          number("--param-b", r.param_b, 0, 64),
+          cell("--cell", r.cell),
+          number("--vectors", r.vectors, 1, 1 << 20),
+          seed(r.seed)};
+}
+
+std::vector<Flag> flags(svc::CharacterizeMultiplierRequest& r) {
+  using svc::MultiplierStructure;
+  return {choice("--structure", r.structure,
+                 {{"recursive", MultiplierStructure::Recursive},
+                  {"wallace", MultiplierStructure::Wallace}}),
+          number("--width", r.width, 2, 16),
+          block("--block", r.block),
+          cell("--cell", r.cell),
+          number("--approx-lsbs", r.approx_lsbs, 0, 32),
+          number("--vectors", r.vectors, 1, 1 << 20),
+          seed(r.seed)};
+}
+
+std::vector<Flag> flags(svc::EvaluateErrorRequest& r) {
+  using svc::EvalTarget;
+  return {choice("--target", r.target,
+                 {{"gear", EvalTarget::GearAdder},
+                  {"multiplier", EvalTarget::Multiplier}}),
+          number("--n", r.gear.n, 2, 64),
+          number("--r", r.gear.r, 1, 64),
+          number("--p", r.gear.p, 0, 64),
+          number("--correction", r.correction_iterations, 0, 64),
+          number("--mul-width", r.mul_width, 2, 16),
+          block("--block", r.mul_block),
+          cell("--cell", r.mul_cell),
+          number("--approx-lsbs", r.mul_approx_lsbs, 0, 32),
+          number("--max-exhaustive-bits", r.max_exhaustive_bits, 0, 24),
+          number("--samples", r.samples, 1, 1 << 24),
+          seed(r.seed)};
+}
+
+std::vector<Flag> flags(svc::GearDesignSpaceRequest& r) {
+  return {number("--width", r.width, 2, 16),
+          number("--min-p", r.min_p, 1, 16),
+          toggle("--include-exact", r.include_exact, true),
+          toggle("--estimate-power", r.estimate_power, true),
+          percent("--min-accuracy", r.min_accuracy)};
+}
+
+std::vector<Flag> flags(svc::HeteroAdderDesignSpaceRequest& r) {
+  return {number("--width", r.width, 2, 32),
+          number("--block-width", r.block_width, 1, 8),
+          toggle("--no-truncated", r.include_truncated, false),
+          toggle("--estimate-power", r.estimate_power, true),
+          percent("--min-accuracy", r.min_accuracy)};
+}
+
+std::vector<Flag> flags(svc::ArrayMulDesignSpaceRequest& r) {
+  return {number("--width", r.width, 2, 16),
+          number("--max-approx-columns", r.max_approx_columns, 0, 32),
+          toggle("--estimate-power", r.estimate_power, true),
+          percent("--min-accuracy", r.min_accuracy)};
+}
+
+std::vector<Flag> flags(svc::StaticAdderDesignSpaceRequest& r) {
+  return {number("--width", r.width, 2, 32),
+          number("--max-approx-lsbs", r.max_approx_lsbs, 0, 10),
+          toggle("--estimate-power", r.estimate_power, true),
+          percent("--min-accuracy", r.min_accuracy)};
+}
+
+std::vector<Flag> flags(svc::EncodeProbeRequest& r) {
+  return {number("--width", r.width, 8, 256),
+          number("--height", r.height, 8, 256),
+          number("--frames", r.frames, 1, 32),
+          number("--objects", r.objects, 0, 16),
+          number("--sequence-seed", r.sequence_seed, 0, 1L << 62),
+          number("--sad-variant", r.sad_variant, 0, 5),
+          number("--approx-lsbs", r.approx_lsbs, 0, 15),
+          number("--block-size", r.block_size, 4, 64),
+          number("--search-range", r.search_range, 1, 16),
+          number("--quant-step", r.quant_step, 1, 255)};
+}
+
+void parse_flags(const std::string& command, const std::vector<Flag>& flags,
+                 int argc, char** argv, int i) {
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--family") {
-      const std::string name = flag_value(kUsage, argc, argv, i);
-      if (name == "gear") {
-        req.family = axc::service::AdderFamily::Gear;
-      } else if (name == "loa") {
-        req.family = axc::service::AdderFamily::Loa;
-      } else if (name == "etai") {
-        req.family = axc::service::AdderFamily::Etai;
-      } else if (name == "ripple") {
-        req.family = axc::service::AdderFamily::Ripple;
-      } else {
-        usage_error(kUsage,
-                    "--family must be gear|loa|etai|ripple, got '" + name +
-                        "'");
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&](const Flag& f) { return arg == f.name; });
+    if (flag == flags.end()) {
+      usage_error(kUsage, "unknown " + command + " argument '" + arg + "'");
+    }
+    flag->set(flag->takes_value ? flag_value(kUsage, argc, argv, i) : nullptr);
+  }
+}
+
+// --- Response printing ----------------------------------------------------
+
+std::string text(bool value) { return value ? "1" : "0"; }
+std::string text(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.9g", value);
+  return buffer;
+}
+std::string text(axc::designspace::HeteroSubAdder kind) {
+  return axc::designspace::hetero_sub_adder_name(kind);
+}
+std::string text(axc::designspace::CompressorKind kind) {
+  return axc::designspace::compressor_kind_name(kind);
+}
+std::string text(axc::designspace::StaticAdderKind kind) {
+  return axc::designspace::static_adder_kind_name(kind);
+}
+template <class T>
+  requires std::is_integral_v<T>
+std::string text(T value) {
+  return std::to_string(value);
+}
+
+/// Field visitor: one `name=value` line of a struct's scalar fields (a
+/// list shows its length), plus one such line per list element.
+struct FieldPrinter {
+  std::string line;
+  std::vector<std::string> rows;
+
+  template <class T>
+  FieldPrinter& operator()(const char* name, const T& value) {
+    if constexpr (svc::wire::is_vector<T>::value) {
+      add(name, std::to_string(value.size()));
+      for (const auto& element : value) {
+        FieldPrinter row;
+        T::value_type::fields(element, row);
+        rows.push_back(row.line);
       }
-    } else if (arg == "--width") {
-      req.width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 1, 64));
-    } else if (arg == "--param-a") {
-      req.param_a = static_cast<std::uint32_t>(require_long(
-          kUsage, "--param-a", flag_value(kUsage, argc, argv, i), 0, 64));
-    } else if (arg == "--param-b") {
-      req.param_b = static_cast<std::uint32_t>(require_long(
-          kUsage, "--param-b", flag_value(kUsage, argc, argv, i), 0, 64));
-    } else if (arg == "--cell") {
-      req.cell = parse_cell(flag_value(kUsage, argc, argv, i));
-    } else if (arg == "--vectors") {
-      req.vectors = static_cast<std::uint64_t>(
-          require_long(kUsage, "--vectors", flag_value(kUsage, argc, argv, i),
-                       1, 1 << 20));
-    } else if (arg == "--seed") {
-      req.seed = static_cast<std::uint64_t>(require_long(
-          kUsage, "--seed", flag_value(kUsage, argc, argv, i), 0, 1L << 62));
     } else {
-      usage_error(kUsage, "unknown characterize-adder argument '" + arg + "'");
+      add(name, text(value));
     }
+    return *this;
   }
-  print_characterize(client.characterize_adder(req));
-  return 0;
+
+  void add(const char* name, const std::string& value) {
+    line += (line.empty() ? "" : " ") + std::string(name) + "=" + value;
+  }
+};
+
+const char* acknowledgement(const svc::PingRequest&) { return "pong"; }
+const char* acknowledgement(const svc::ShutdownRequest&) {
+  return "shutdown acknowledged";
 }
 
-template <class ClientT>
-int run_characterize_multiplier(ClientT& client, int argc,
-                                char** argv, int i) {
-  axc::service::CharacterizeMultiplierRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--structure") {
-      const std::string name = flag_value(kUsage, argc, argv, i);
-      if (name == "recursive") {
-        req.structure = axc::service::MultiplierStructure::Recursive;
-      } else if (name == "wallace") {
-        req.structure = axc::service::MultiplierStructure::Wallace;
-      } else {
-        usage_error(kUsage, "--structure must be recursive|wallace, got '" +
-                                name + "'");
-      }
-    } else if (arg == "--width") {
-      req.width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 2, 16));
-    } else if (arg == "--block") {
-      req.block = parse_block(flag_value(kUsage, argc, argv, i));
-    } else if (arg == "--cell") {
-      req.cell = parse_cell(flag_value(kUsage, argc, argv, i));
-    } else if (arg == "--approx-lsbs") {
-      req.approx_lsbs = static_cast<std::uint32_t>(
-          require_long(kUsage, "--approx-lsbs",
-                       flag_value(kUsage, argc, argv, i), 0, 32));
-    } else if (arg == "--vectors") {
-      req.vectors = static_cast<std::uint64_t>(
-          require_long(kUsage, "--vectors", flag_value(kUsage, argc, argv, i),
-                       1, 1 << 20));
-    } else if (arg == "--seed") {
-      req.seed = static_cast<std::uint64_t>(require_long(
-          kUsage, "--seed", flag_value(kUsage, argc, argv, i), 0, 1L << 62));
-    } else {
-      usage_error(kUsage,
-                  "unknown characterize-multiplier argument '" + arg + "'");
+template <class Request, class Response>
+void print(const Request& request, const Response& response) {
+  if constexpr (std::is_same_v<Response, svc::OkResponse>) {
+    std::printf("%s\n", acknowledgement(request));
+  } else {
+    FieldPrinter printer;
+    Response::fields(response, printer);
+    std::printf("%s\n", printer.line.c_str());
+    for (const std::string& row : printer.rows) {
+      std::printf("%s\n", row.c_str());
     }
   }
-  print_characterize(client.characterize_multiplier(req));
-  return 0;
 }
 
-template <class ClientT>
-int run_evaluate_error(ClientT& client, int argc, char** argv,
-                       int i) {
-  axc::service::EvaluateErrorRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--target") {
-      const std::string name = flag_value(kUsage, argc, argv, i);
-      if (name == "gear") {
-        req.target = axc::service::EvalTarget::GearAdder;
-      } else if (name == "multiplier") {
-        req.target = axc::service::EvalTarget::Multiplier;
-      } else {
-        usage_error(kUsage,
-                    "--target must be gear|multiplier, got '" + name + "'");
-      }
-    } else if (arg == "--n") {
-      req.gear.n = static_cast<unsigned>(require_long(
-          kUsage, "--n", flag_value(kUsage, argc, argv, i), 2, 64));
-    } else if (arg == "--r") {
-      req.gear.r = static_cast<unsigned>(require_long(
-          kUsage, "--r", flag_value(kUsage, argc, argv, i), 1, 64));
-    } else if (arg == "--p") {
-      req.gear.p = static_cast<unsigned>(require_long(
-          kUsage, "--p", flag_value(kUsage, argc, argv, i), 0, 64));
-    } else if (arg == "--correction") {
-      req.correction_iterations = static_cast<std::uint32_t>(require_long(
-          kUsage, "--correction", flag_value(kUsage, argc, argv, i), 0, 64));
-    } else if (arg == "--mul-width") {
-      req.mul_width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--mul-width", flag_value(kUsage, argc, argv, i), 2, 16));
-    } else if (arg == "--block") {
-      req.mul_block = parse_block(flag_value(kUsage, argc, argv, i));
-    } else if (arg == "--cell") {
-      req.mul_cell = parse_cell(flag_value(kUsage, argc, argv, i));
-    } else if (arg == "--approx-lsbs") {
-      req.mul_approx_lsbs = static_cast<std::uint32_t>(
-          require_long(kUsage, "--approx-lsbs",
-                       flag_value(kUsage, argc, argv, i), 0, 32));
-    } else if (arg == "--max-exhaustive-bits") {
-      req.max_exhaustive_bits = static_cast<std::uint32_t>(
-          require_long(kUsage, "--max-exhaustive-bits",
-                       flag_value(kUsage, argc, argv, i), 0, 24));
-    } else if (arg == "--samples") {
-      req.samples = static_cast<std::uint64_t>(
-          require_long(kUsage, "--samples", flag_value(kUsage, argc, argv, i),
-                       1, 1 << 24));
-    } else if (arg == "--seed") {
-      req.seed = static_cast<std::uint64_t>(require_long(
-          kUsage, "--seed", flag_value(kUsage, argc, argv, i), 0, 1L << 62));
-    } else {
-      usage_error(kUsage, "unknown evaluate-error argument '" + arg + "'");
-    }
-  }
-  const auto r = client.evaluate_error(req);
-  std::printf(
-      "samples=%llu error_count=%llu max_error=%llu error_rate=%.6f "
-      "med=%.6f nmed=%.8f mred=%.6f mse=%.6f rmse=%.6f exhaustive=%d\n",
-      static_cast<unsigned long long>(r.samples),
-      static_cast<unsigned long long>(r.error_count),
-      static_cast<unsigned long long>(r.max_error), r.error_rate,
-      r.mean_error_distance, r.normalized_med, r.mean_relative_error,
-      r.mean_squared_error, r.root_mean_squared_error, r.exhaustive ? 1 : 0);
-  return 0;
+/// "gear_design_space" -> "gear-design-space".
+std::string command_name(std::string_view endpoint) {
+  std::string name(endpoint);
+  std::replace(name.begin(), name.end(), '_', '-');
+  return name;
 }
 
-template <class ClientT>
-int run_gear_design_space(ClientT& client, int argc, char** argv,
-                          int i) {
-  axc::service::GearDesignSpaceRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--width") {
-      req.width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 2, 16));
-    } else if (arg == "--min-p") {
-      req.min_p = static_cast<std::uint32_t>(require_long(
-          kUsage, "--min-p", flag_value(kUsage, argc, argv, i), 1, 16));
-    } else if (arg == "--include-exact") {
-      req.include_exact = true;
-    } else if (arg == "--estimate-power") {
-      req.estimate_power = true;
-    } else if (arg == "--min-accuracy") {
-      req.min_accuracy = require_double(
-          kUsage, "--min-accuracy", flag_value(kUsage, argc, argv, i), 0.0,
-          100.0);
-    } else {
-      usage_error(kUsage, "unknown gear-design-space argument '" + arg + "'");
-    }
-  }
-  const auto r = client.gear_design_space(req);
-  std::printf("points=%zu max_accuracy_index=%u min_area_index=%u\n",
-              r.points.size(), r.max_accuracy_index, r.min_area_index);
-  for (const auto& p : r.points) {
-    std::printf(
-        "r=%u p=%u area_ge=%.4f power_nw=%.4f accuracy=%.4f pareto=%d\n", p.r,
-        p.p, p.area_ge, p.power_nw, p.accuracy_percent,
-        p.on_pareto_front ? 1 : 0);
-  }
-  return 0;
-}
-
-template <class ClientT>
-int run_hetero_adder_design_space(ClientT& client, int argc, char** argv,
-                                  int i) {
-  axc::service::HeteroAdderDesignSpaceRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--width") {
-      req.width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 2, 32));
-    } else if (arg == "--block-width") {
-      req.block_width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--block-width", flag_value(kUsage, argc, argv, i), 1, 8));
-    } else if (arg == "--no-truncated") {
-      req.include_truncated = false;
-    } else if (arg == "--estimate-power") {
-      req.estimate_power = true;
-    } else if (arg == "--min-accuracy") {
-      req.min_accuracy = require_double(
-          kUsage, "--min-accuracy", flag_value(kUsage, argc, argv, i), 0.0,
-          100.0);
-    } else {
-      usage_error(kUsage,
-                  "unknown hetero-adder-design-space argument '" + arg + "'");
-    }
-  }
-  const auto r = client.hetero_adder_design_space(req);
-  std::printf("points=%zu max_accuracy_index=%u min_area_index=%u\n",
-              r.points.size(), r.max_accuracy_index, r.min_area_index);
-  for (const auto& p : r.points) {
-    std::printf(
-        "low_kind=%s approx_blocks=%u area_ge=%.4f power_nw=%.4f "
-        "accuracy=%.4f error_rate=%.6f med=%.6f nmed=%.8f wce=%llu "
-        "pareto=%d\n",
-        axc::designspace::hetero_sub_adder_name(p.low_kind), p.approx_blocks,
-        p.area_ge, p.power_nw, p.accuracy_percent, p.error_rate, p.med,
-        p.nmed, static_cast<unsigned long long>(p.wce),
-        p.on_pareto_front ? 1 : 0);
-  }
-  return 0;
-}
-
-template <class ClientT>
-int run_array_mul_design_space(ClientT& client, int argc, char** argv,
-                               int i) {
-  axc::service::ArrayMulDesignSpaceRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--width") {
-      req.width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 2, 16));
-    } else if (arg == "--max-approx-columns") {
-      req.max_approx_columns = static_cast<std::uint32_t>(
-          require_long(kUsage, "--max-approx-columns",
-                       flag_value(kUsage, argc, argv, i), 0, 32));
-    } else if (arg == "--estimate-power") {
-      req.estimate_power = true;
-    } else if (arg == "--min-accuracy") {
-      req.min_accuracy = require_double(
-          kUsage, "--min-accuracy", flag_value(kUsage, argc, argv, i), 0.0,
-          100.0);
-    } else {
-      usage_error(kUsage,
-                  "unknown array-mul-design-space argument '" + arg + "'");
-    }
-  }
-  const auto r = client.array_mul_design_space(req);
-  std::printf("points=%zu max_accuracy_index=%u min_area_index=%u\n",
-              r.points.size(), r.max_accuracy_index, r.min_area_index);
-  for (const auto& p : r.points) {
-    std::printf(
-        "compressor=%s approx_columns=%u area_ge=%.4f power_nw=%.4f "
-        "accuracy=%.4f error_rate_est=%.6f med_est=%.6f nmed_est=%.8f "
-        "model_exact=%d pareto=%d\n",
-        axc::designspace::compressor_kind_name(p.compressor),
-        p.approx_columns, p.area_ge, p.power_nw, p.accuracy_percent,
-        p.error_rate_est, p.med_est, p.nmed_est, p.model_exact ? 1 : 0,
-        p.on_pareto_front ? 1 : 0);
-  }
-  return 0;
-}
-
-template <class ClientT>
-int run_static_adder_design_space(ClientT& client, int argc, char** argv,
-                                  int i) {
-  axc::service::StaticAdderDesignSpaceRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--width") {
-      req.width = static_cast<std::uint32_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 2, 32));
-    } else if (arg == "--max-approx-lsbs") {
-      req.max_approx_lsbs = static_cast<std::uint32_t>(
-          require_long(kUsage, "--max-approx-lsbs",
-                       flag_value(kUsage, argc, argv, i), 0, 10));
-    } else if (arg == "--estimate-power") {
-      req.estimate_power = true;
-    } else if (arg == "--min-accuracy") {
-      req.min_accuracy = require_double(
-          kUsage, "--min-accuracy", flag_value(kUsage, argc, argv, i), 0.0,
-          100.0);
-    } else {
-      usage_error(kUsage,
-                  "unknown static-adder-design-space argument '" + arg + "'");
-    }
-  }
-  const auto r = client.static_adder_design_space(req);
-  std::printf("points=%zu max_accuracy_index=%u min_area_index=%u\n",
-              r.points.size(), r.max_accuracy_index, r.min_area_index);
-  for (const auto& p : r.points) {
-    std::printf(
-        "kind=%s approx_lsbs=%u area_ge=%.4f power_nw=%.4f accuracy=%.4f "
-        "error_rate=%.6f med=%.6f nmed=%.8f wce=%llu pareto=%d\n",
-        axc::designspace::static_adder_kind_name(p.kind), p.approx_lsbs,
-        p.area_ge, p.power_nw, p.accuracy_percent, p.error_rate, p.med,
-        p.nmed, static_cast<unsigned long long>(p.wce),
-        p.on_pareto_front ? 1 : 0);
-  }
-  return 0;
-}
-
-template <class ClientT>
-int run_encode_probe(ClientT& client, int argc, char** argv,
-                     int i) {
-  axc::service::EncodeProbeRequest req;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--width") {
-      req.width = static_cast<std::uint16_t>(require_long(
-          kUsage, "--width", flag_value(kUsage, argc, argv, i), 8, 256));
-    } else if (arg == "--height") {
-      req.height = static_cast<std::uint16_t>(require_long(
-          kUsage, "--height", flag_value(kUsage, argc, argv, i), 8, 256));
-    } else if (arg == "--frames") {
-      req.frames = static_cast<std::uint16_t>(require_long(
-          kUsage, "--frames", flag_value(kUsage, argc, argv, i), 1, 32));
-    } else if (arg == "--objects") {
-      req.objects = static_cast<std::uint16_t>(require_long(
-          kUsage, "--objects", flag_value(kUsage, argc, argv, i), 0, 16));
-    } else if (arg == "--sequence-seed") {
-      req.sequence_seed = static_cast<std::uint64_t>(
-          require_long(kUsage, "--sequence-seed",
-                       flag_value(kUsage, argc, argv, i), 0, 1L << 62));
-    } else if (arg == "--sad-variant") {
-      req.sad_variant = static_cast<std::uint8_t>(require_long(
-          kUsage, "--sad-variant", flag_value(kUsage, argc, argv, i), 0, 5));
-    } else if (arg == "--approx-lsbs") {
-      req.approx_lsbs = static_cast<std::uint8_t>(
-          require_long(kUsage, "--approx-lsbs",
-                       flag_value(kUsage, argc, argv, i), 0, 15));
-    } else if (arg == "--block-size") {
-      req.block_size = static_cast<std::uint8_t>(require_long(
-          kUsage, "--block-size", flag_value(kUsage, argc, argv, i), 4, 64));
-    } else if (arg == "--search-range") {
-      req.search_range = static_cast<std::uint8_t>(require_long(
-          kUsage, "--search-range", flag_value(kUsage, argc, argv, i), 1, 16));
-    } else if (arg == "--quant-step") {
-      req.quant_step = static_cast<std::uint16_t>(require_long(
-          kUsage, "--quant-step", flag_value(kUsage, argc, argv, i), 1, 255));
-    } else {
-      usage_error(kUsage, "unknown encode-probe argument '" + arg + "'");
-    }
-  }
-  const auto r = client.encode_probe(req);
-  std::printf("total_bits=%llu bits_per_frame=%.2f psnr_db=%.4f "
-              "sad_calls=%llu\n",
-              static_cast<unsigned long long>(r.total_bits), r.bits_per_frame,
-              r.psnr_db, static_cast<unsigned long long>(r.sad_calls));
-  return 0;
-}
-
-int run_pipeline(const std::string& host, std::uint16_t port,
-                 axc::service::TcpConnectionOptions options, int argc,
-                 char** argv, int i) {
-  long count = 8;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--count") {
-      count = require_long(kUsage, "--count", flag_value(kUsage, argc, argv, i),
-                           1, 1 << 16);
-    } else {
-      usage_error(kUsage, "unknown pipeline argument '" + arg + "'");
-    }
-  }
-  options.multiplex = true;
-  axc::service::TcpConnection connection(host, port, options);
-  axc::service::Client client(connection);
-  std::vector<std::uint32_t> ids;
-  ids.reserve(static_cast<std::size_t>(count));
-  for (long k = 0; k < count; ++k) ids.push_back(client.submit_ping());
-  // Collect newest-first: exercises out-of-order completion routing.
-  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-    client.collect_ping(*it);
-  }
-  std::printf("pipelined=%ld collected=reverse ok\n", count);
-  return 0;
-}
-
-/// Typed-command dispatch, shared between the single-server
-/// RetryingClient and the ring-routing ClusterClient (their typed
-/// facades are call-compatible; shutdown exists only on the former).
+/// Typed-command dispatch over the endpoint table, shared between the
+/// single-server RetryingClient and the ring-routing ClusterClient.
 template <class ClientT>
 int run_command(ClientT& client, const std::string& command, int argc,
                 char** argv, int i) {
-  int rc = 0;
-  if (command == "ping") {
-    if (i < argc) usage_error(kUsage, "ping takes no arguments");
-    client.ping();
-    std::printf("pong\n");
-  } else if (command == "shutdown") {
-    if constexpr (requires { client.shutdown(); }) {
-      if (i < argc) usage_error(kUsage, "shutdown takes no arguments");
-      client.shutdown();
-      std::printf("shutdown acknowledged\n");
-    } else {
-      usage_error(kUsage,
-                  "shutdown is a single-server command (drop --ring and "
-                  "point --host/--port at one node)");
+  bool known = false;
+  svc::for_each_endpoint([&](auto spec) {
+    using Spec = decltype(spec);
+    using Request = typename Spec::Request;
+    if constexpr (requires(Request& r) { flags(r); }) {
+      if (known || command != command_name(Spec::name)) return;
+      known = true;
+      Request request;
+      parse_flags(command, flags(request), argc, argv, i);
+      print(request, client.call(request));
     }
-  } else if (command == "characterize-adder") {
-    rc = run_characterize_adder(client, argc, argv, i);
-  } else if (command == "characterize-multiplier") {
-    rc = run_characterize_multiplier(client, argc, argv, i);
-  } else if (command == "evaluate-error") {
-    rc = run_evaluate_error(client, argc, argv, i);
-  } else if (command == "gear-design-space") {
-    rc = run_gear_design_space(client, argc, argv, i);
-  } else if (command == "hetero-adder-design-space") {
-    rc = run_hetero_adder_design_space(client, argc, argv, i);
-  } else if (command == "array-mul-design-space") {
-    rc = run_array_mul_design_space(client, argc, argv, i);
-  } else if (command == "static-adder-design-space") {
-    rc = run_static_adder_design_space(client, argc, argv, i);
-  } else if (command == "encode-probe") {
-    rc = run_encode_probe(client, argc, argv, i);
-  } else {
-    usage_error(kUsage, "unknown command '" + command + "'");
-  }
+  });
+  if (!known) usage_error(kUsage, "unknown command '" + command + "'");
   if (client.last_served_level() > 0) {
     std::fprintf(stderr,
                  "axc_client: note: server degraded this response "
@@ -567,17 +385,46 @@ int run_command(ClientT& client, const std::string& command, int argc,
                    client.failovers() == 1 ? "" : "s");
     }
   }
-  return rc;
+  return 0;
+}
+
+int run_pipeline(const std::string& host, std::uint16_t port,
+                 svc::TcpConnectionOptions options, int argc,
+                 char** argv, int i) {
+  long count = 8;
+  for (; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--count") {
+      count = require_long(kUsage, "--count", flag_value(kUsage, argc, argv, i),
+                           1, 1 << 16);
+    } else {
+      usage_error(kUsage, "unknown pipeline argument '" + arg + "'");
+    }
+  }
+  options.multiplex = true;
+  svc::TcpConnection connection(host, port, options);
+  svc::Client client(connection);
+  std::vector<std::uint32_t> ids;
+  ids.reserve(static_cast<std::size_t>(count));
+  for (long k = 0; k < count; ++k) {
+    ids.push_back(client.submit(svc::PingRequest{}));
+  }
+  // Collect newest-first: exercises out-of-order completion routing.
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    client.collect<svc::OkResponse>(*it);
+  }
+  std::printf("pipelined=%ld collected=reverse ok\n", count);
+  return 0;
 }
 
 /// One "host:port" per line, line i = ring index i — the same file the
 /// servers were started with.
-std::vector<axc::service::RetryingClient::ConnectionFactory>
+std::vector<svc::RetryingClient::ConnectionFactory>
 ring_factories(const std::string& path,
-               const axc::service::TcpConnectionOptions& options) {
+               const svc::TcpConnectionOptions& options) {
   std::ifstream in(path);
   if (!in) usage_error(kUsage, "--ring: cannot open '" + path + "'");
-  std::vector<axc::service::RetryingClient::ConnectionFactory> factories;
+  std::vector<svc::RetryingClient::ConnectionFactory> factories;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -592,7 +439,7 @@ ring_factories(const std::string& path,
     }
     const std::string host = line.substr(0, colon);
     factories.push_back([host, port, options] {
-      return std::make_unique<axc::service::TcpConnection>(
+      return std::make_unique<svc::TcpConnection>(
           host, static_cast<std::uint16_t>(port), options);
     });
   }
@@ -603,7 +450,7 @@ ring_factories(const std::string& path,
 }
 
 int run_hold(const std::string& host, std::uint16_t port,
-             const axc::service::TcpConnectionOptions& options, int argc,
+             const svc::TcpConnectionOptions& options, int argc,
              char** argv, int i) {
   long connections = 64;
   long hold_ms = 1000;
@@ -619,18 +466,18 @@ int run_hold(const std::string& host, std::uint16_t port,
       usage_error(kUsage, "unknown hold argument '" + arg + "'");
     }
   }
-  std::vector<std::unique_ptr<axc::service::TcpConnection>> held;
+  std::vector<std::unique_ptr<svc::TcpConnection>> held;
   held.reserve(static_cast<std::size_t>(connections));
   for (long k = 0; k < connections; ++k) {
     held.push_back(
-        std::make_unique<axc::service::TcpConnection>(host, port, options));
+        std::make_unique<svc::TcpConnection>(host, port, options));
   }
-  axc::service::Client(*held.front()).ping();
-  axc::service::Client(*held.back()).ping();
+  svc::Client(*held.front()).call(svc::PingRequest{});
+  svc::Client(*held.back()).call(svc::PingRequest{});
   std::printf("holding=%ld for %ldms\n", connections, hold_ms);
   std::fflush(stdout);
   std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));
-  axc::service::Client(*held.front()).ping();
+  svc::Client(*held.front()).call(svc::PingRequest{});
   std::printf("held=%ld ok\n", connections);
   return 0;
 }
@@ -722,6 +569,11 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(std::min(32 * retry_base_ms, 60000L));
 
     if (!ring_file.empty()) {
+      if (command == "shutdown") {
+        usage_error(kUsage,
+                    "shutdown is a single-server command (drop --ring and "
+                    "point --host/--port at one node)");
+      }
       cluster::ClusterClientOptions options;
       options.retry = policy;
       options.deadline_ms = static_cast<std::uint32_t>(deadline_ms);

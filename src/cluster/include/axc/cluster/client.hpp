@@ -42,7 +42,7 @@ struct ClusterClientOptions {
   std::uint32_t deadline_ms = 0;
 };
 
-class ClusterClient {
+class ClusterClient : public service::TypedClient<ClusterClient> {
  public:
   /// One connection factory per ring node, in ring (stencil) order — the
   /// index in this vector IS the node's ring index.
@@ -51,11 +51,6 @@ class ClusterClient {
 
   std::size_t size() const { return nodes_.size(); }
   const RoutingTable& routing() const { return routing_; }
-
-  void set_deadline_ms(std::uint32_t deadline_ms) {
-    deadline_ms_ = deadline_ms;
-  }
-  std::uint32_t deadline_ms() const { return deadline_ms_; }
 
   /// Ring index the request would be routed to first.
   std::size_t owner_of(const service::Bytes& request) const;
@@ -72,28 +67,10 @@ class ClusterClient {
   /// issuing them serially against a single node.
   std::vector<service::Bytes> sweep(const std::vector<service::Bytes>& requests);
 
-  /// Typed calls (same contract as RetryingClient, plus routing).
-  service::CharacterizeResponse characterize_adder(
-      const service::CharacterizeAdderRequest& request);
-  service::CharacterizeResponse characterize_multiplier(
-      const service::CharacterizeMultiplierRequest& request);
-  service::EvaluateErrorResponse evaluate_error(
-      const service::EvaluateErrorRequest& request);
-  service::GearDesignSpaceResponse gear_design_space(
-      const service::GearDesignSpaceRequest& request);
-  service::HeteroAdderDesignSpaceResponse hetero_adder_design_space(
-      const service::HeteroAdderDesignSpaceRequest& request);
-  service::ArrayMulDesignSpaceResponse array_mul_design_space(
-      const service::ArrayMulDesignSpaceRequest& request);
-  service::StaticAdderDesignSpaceResponse static_adder_design_space(
-      const service::StaticAdderDesignSpaceRequest& request);
-  service::EncodeProbeResponse encode_probe(
-      const service::EncodeProbeRequest& request);
-  void ping();
-
-  /// Served accuracy level of the last successful single call, and the
-  /// per-request levels of the last sweep() (positionally aligned).
-  std::uint8_t last_served_level() const { return last_served_level_; }
+  /// call(request) has RetryingClient's contract, plus routing.
+  /// last_served_level() is the served level of the last successful
+  /// single call; last_served_levels() the per-request levels of the last
+  /// sweep() (positionally aligned).
   const std::vector<std::uint8_t>& last_served_levels() const {
     return last_served_levels_;
   }
@@ -112,8 +89,6 @@ class ClusterClient {
 
   RoutingTable routing_;
   std::vector<std::unique_ptr<service::RetryingClient>> nodes_;
-  std::uint32_t deadline_ms_ = 0;
-  std::uint8_t last_served_level_ = 0;
   std::vector<std::uint8_t> last_served_levels_;
   std::uint64_t failovers_ = 0;
 };

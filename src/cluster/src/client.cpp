@@ -31,8 +31,9 @@ ClusterInstruments& instruments() {
 ClusterClient::ClusterClient(
     std::vector<service::RetryingClient::ConnectionFactory> nodes,
     ClusterClientOptions options)
-    : routing_(nodes.size()), deadline_ms_(options.deadline_ms) {
+    : routing_(nodes.size()) {
   require(!nodes.empty(), "ClusterClient: need at least one node");
+  set_deadline_ms(options.deadline_ms);
   nodes_.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     service::RetryPolicy policy = options.retry;
@@ -180,59 +181,6 @@ std::vector<Bytes> ClusterClient::sweep(const std::vector<Bytes>& requests) {
     pending = std::move(next);
   }
   return responses;
-}
-
-service::CharacterizeResponse ClusterClient::characterize_adder(
-    const service::CharacterizeAdderRequest& request) {
-  return service::decode_characterize_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::CharacterizeResponse ClusterClient::characterize_multiplier(
-    const service::CharacterizeMultiplierRequest& request) {
-  return service::decode_characterize_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::EvaluateErrorResponse ClusterClient::evaluate_error(
-    const service::EvaluateErrorRequest& request) {
-  return service::decode_evaluate_error_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::GearDesignSpaceResponse ClusterClient::gear_design_space(
-    const service::GearDesignSpaceRequest& request) {
-  return service::decode_gear_design_space_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::HeteroAdderDesignSpaceResponse ClusterClient::hetero_adder_design_space(
-    const service::HeteroAdderDesignSpaceRequest& request) {
-  return service::decode_hetero_adder_design_space_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::ArrayMulDesignSpaceResponse ClusterClient::array_mul_design_space(
-    const service::ArrayMulDesignSpaceRequest& request) {
-  return service::decode_array_mul_design_space_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::StaticAdderDesignSpaceResponse ClusterClient::static_adder_design_space(
-    const service::StaticAdderDesignSpaceRequest& request) {
-  return service::decode_static_adder_design_space_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-service::EncodeProbeResponse ClusterClient::encode_probe(
-    const service::EncodeProbeRequest& request) {
-  return service::decode_encode_probe_response(
-      call_bytes(service::encode_request(request, deadline_ms_)));
-}
-
-void ClusterClient::ping() {
-  service::decode_ok_response(call_bytes(
-      service::encode_request(service::Endpoint::Ping, deadline_ms_)));
 }
 
 std::uint64_t ClusterClient::retries() const {

@@ -53,9 +53,12 @@ struct RetryPolicy {
   std::function<void(std::uint32_t)> sleep_ms = {};
 };
 
-/// Typed client over a reconnectable connection source. Mirrors Client's
-/// surface; single-threaded like any Connection.
-class RetryingClient {
+/// Typed client over a reconnectable connection source: call(request)
+/// has Client's contract plus the retry semantics above. When every
+/// attempt is exhausted the *last* failure is what escapes: TransportError
+/// for transport-level deaths, ServiceError for non-Ok statuses.
+/// Single-threaded like any Connection.
+class RetryingClient : public TypedClient<RetryingClient> {
  public:
   using ConnectionFactory = std::function<std::unique_ptr<Connection>()>;
 
@@ -64,32 +67,6 @@ class RetryingClient {
   /// the server restarts); the throw is classified like a transport
   /// failure of the attempt it would have served.
   RetryingClient(ConnectionFactory factory, RetryPolicy policy = {});
-
-  void set_deadline_ms(std::uint32_t deadline_ms) {
-    deadline_ms_ = deadline_ms;
-  }
-  std::uint32_t deadline_ms() const { return deadline_ms_; }
-
-  /// Typed calls; same contract as Client plus the retry semantics above.
-  /// When every attempt is exhausted the *last* failure is what escapes:
-  /// TransportError for transport-level deaths, ServiceError for non-Ok
-  /// statuses.
-  CharacterizeResponse characterize_adder(
-      const CharacterizeAdderRequest& request);
-  CharacterizeResponse characterize_multiplier(
-      const CharacterizeMultiplierRequest& request);
-  EvaluateErrorResponse evaluate_error(const EvaluateErrorRequest& request);
-  GearDesignSpaceResponse gear_design_space(
-      const GearDesignSpaceRequest& request);
-  HeteroAdderDesignSpaceResponse hetero_adder_design_space(
-      const HeteroAdderDesignSpaceRequest& request);
-  ArrayMulDesignSpaceResponse array_mul_design_space(
-      const ArrayMulDesignSpaceRequest& request);
-  StaticAdderDesignSpaceResponse static_adder_design_space(
-      const StaticAdderDesignSpaceRequest& request);
-  EncodeProbeResponse encode_probe(const EncodeProbeRequest& request);
-  void ping();
-  void shutdown();
 
   /// One fully-encoded request -> raw response bytes, with retries.
   /// Exposed for harnesses that byte-compare responses.
@@ -106,15 +83,12 @@ class RetryingClient {
   /// are pure functions of request bytes.
   std::vector<Bytes> call_bytes_batch(const std::vector<Bytes>& requests);
 
-  /// Served accuracy level of the last successful call. After
-  /// call_bytes_batch this is the *maximum* level across the batch (the
-  /// worst degradation any request saw), not whichever response happened
-  /// to be collected last.
-  std::uint8_t last_served_level() const { return last_served_level_; }
   /// Per-request served levels of the last call_bytes_batch, positionally
   /// aligned with its requests (empty until the first batch call). A
   /// request retried across rounds reports the level of the response that
-  /// was actually returned for it.
+  /// was actually returned for it. After a batch, last_served_level() is
+  /// the *maximum* of these (the worst degradation any request saw), not
+  /// whichever response happened to be collected last.
   const std::vector<std::uint8_t>& last_served_levels() const {
     return last_served_levels_;
   }
@@ -132,8 +106,6 @@ class RetryingClient {
   RetryPolicy policy_;
   Rng jitter_;
   std::unique_ptr<Connection> connection_;
-  std::uint32_t deadline_ms_ = 0;
-  std::uint8_t last_served_level_ = 0;
   std::vector<std::uint8_t> last_served_levels_;
   std::uint64_t retries_ = 0;
   std::uint64_t reconnects_ = 0;

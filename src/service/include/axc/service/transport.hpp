@@ -7,9 +7,10 @@
 ///  - TcpConnection (tcp.hpp) carries the same frames over a POSIX socket
 ///    for real traffic.
 ///
-/// Client is the typed facade over either: it serializes requests, applies
-/// a per-request deadline, and decodes responses (throwing ServiceError on
-/// non-Ok statuses), so call sites never touch wire bytes.
+/// Client is the typed facade over either (TypedClient::call): it
+/// serializes requests, applies a per-request deadline, and decodes
+/// responses (throwing ServiceError on non-Ok statuses), so call sites
+/// never touch wire bytes.
 #pragma once
 
 #include <cstdint>
@@ -134,72 +135,68 @@ class LoopbackConnection final : public Connection {
   std::map<std::uint32_t, std::future<Bytes>> pending_;
 };
 
-/// Typed client over any Connection.
-class Client {
+/// The typed surface every client shares: one call(request) template over
+/// the derived client's call_bytes(), which each client implements on its
+/// own transport (one connection, retries, or ring routing). The request
+/// type picks the endpoint and the response type from EndpointTable.
+template <class Derived>
+class TypedClient {
  public:
-  explicit Client(Connection& connection) : connection_(connection) {}
-
   /// Deadline stamped on every subsequent request; 0 = none.
   void set_deadline_ms(std::uint32_t deadline_ms) {
     deadline_ms_ = deadline_ms;
   }
   std::uint32_t deadline_ms() const { return deadline_ms_; }
 
-  /// Each call throws ServiceError when the server answers a non-Ok
-  /// status, DecodeError on malformed bytes, std::runtime_error on
-  /// transport failure.
-  CharacterizeResponse characterize_adder(
-      const CharacterizeAdderRequest& request);
-  CharacterizeResponse characterize_multiplier(
-      const CharacterizeMultiplierRequest& request);
-  EvaluateErrorResponse evaluate_error(const EvaluateErrorRequest& request);
-  GearDesignSpaceResponse gear_design_space(
-      const GearDesignSpaceRequest& request);
-  HeteroAdderDesignSpaceResponse hetero_adder_design_space(
-      const HeteroAdderDesignSpaceRequest& request);
-  ArrayMulDesignSpaceResponse array_mul_design_space(
-      const ArrayMulDesignSpaceRequest& request);
-  StaticAdderDesignSpaceResponse static_adder_design_space(
-      const StaticAdderDesignSpaceRequest& request);
-  EncodeProbeResponse encode_probe(const EncodeProbeRequest& request);
-  void ping();
-  /// Transport-level graceful stop; the TCP server must have been started
-  /// with allow_remote_shutdown (loopback servers answer BadRequest).
-  void shutdown();
+  /// Served accuracy level of the last successful call (0 = full
+  /// fidelity; >0 = the server degraded this answer under overload).
+  std::uint8_t last_served_level() const { return last_served_level_; }
+
+  /// Throws ServiceError when the server answers a non-Ok status,
+  /// DecodeError on malformed bytes, std::runtime_error (TransportError)
+  /// on transport failure.
+  template <WireRequest Req>
+  ResponseOf<Req> call(const Req& request) {
+    return decode_response<ResponseOf<Req>>(
+        static_cast<Derived&>(*this).call_bytes(
+            encode_request(request, deadline_ms_)));
+  }
+
+ protected:
+  std::uint32_t deadline_ms_ = 0;
+  std::uint8_t last_served_level_ = 0;
+};
+
+/// Typed client over any Connection.
+class Client : public TypedClient<Client> {
+ public:
+  explicit Client(Connection& connection) : connection_(connection) {}
+
+  /// One fully-encoded request -> raw response bytes.
+  Bytes call_bytes(const Bytes& request);
 
   /// --- Pipelining -------------------------------------------------------
   /// submit(request) puts one typed request in flight and returns its
-  /// connection-local id; the matching collect_*(id) blocks for (decodes,
+  /// connection-local id; collect<Response>(id) blocks for (decodes,
   /// status-checks) that response. Ids are collectable in ANY order — on a
   /// multiplexed transport the server completes them out of order and the
   /// response payloads are byte-identical to serial submission, which is
   /// pinned by tests/service/test_pipeline.cpp.
-  std::uint32_t submit(const CharacterizeAdderRequest& request);
-  std::uint32_t submit(const CharacterizeMultiplierRequest& request);
-  std::uint32_t submit(const EvaluateErrorRequest& request);
-  std::uint32_t submit(const GearDesignSpaceRequest& request);
-  std::uint32_t submit(const EncodeProbeRequest& request);
-  std::uint32_t submit_ping();
-  CharacterizeResponse collect_characterize(std::uint32_t request_id);
-  EvaluateErrorResponse collect_evaluate_error(std::uint32_t request_id);
-  GearDesignSpaceResponse collect_gear_design_space(std::uint32_t request_id);
-  EncodeProbeResponse collect_encode_probe(std::uint32_t request_id);
-  void collect_ping(std::uint32_t request_id);
+  template <WireRequest Req>
+  std::uint32_t submit(const Req& request) {
+    return submit_bytes(encode_request(request, deadline_ms_));
+  }
+  template <WireResponse Resp>
+  Resp collect(std::uint32_t request_id) {
+    return decode_response<Resp>(collect_bytes(request_id));
+  }
 
   /// Raw-bytes pipelining (harnesses that byte-compare responses).
   std::uint32_t submit_bytes(const Bytes& request);
   Bytes collect_bytes(std::uint32_t request_id);
 
-  /// Served accuracy level of the last successful call (0 = full
-  /// fidelity; >0 = the server degraded this answer under overload).
-  std::uint8_t last_served_level() const { return last_served_level_; }
-
  private:
-  Bytes call(const Bytes& request);
-
   Connection& connection_;
-  std::uint32_t deadline_ms_ = 0;
-  std::uint8_t last_served_level_ = 0;
 };
 
 }  // namespace axc::service

@@ -32,55 +32,66 @@ void check(bool condition, const char* message) {
 
 // --- Degrade-don't-drop ladder --------------------------------------------
 //
-// Each helper maps (requested parameter, degrade level) to the cheaper
+// Each method maps (requested parameter, degrade level) to the cheaper
 // effective parameter for that rung, clamped to a floor so level 255 is as
-// safe as level 1. `applied` accumulates the level that actually changed
+// safe as level 1. applied() is the level that actually changed
 // something: a request already at the floor is served at level 0 and the
 // client cannot tell it ever met the controller.
+class Ladder {
+ public:
+  explicit Ladder(const DispatchOptions& options) : options_(options) {}
 
-/// Quarters \p value per level, clamped below by min(value, floor).
-std::uint64_t shed_quartering(std::uint64_t value, unsigned level,
-                              std::uint64_t floor, unsigned& applied) {
-  if (level == 0) return value;
-  const unsigned shift = std::min(2 * level, 63u);
-  const std::uint64_t shed = std::max(std::min(value, floor), value >> shift);
-  if (shed != value) applied = std::max(applied, level);
-  return shed;
-}
+  unsigned eval_threads() const { return std::max(1u, options_.eval_threads); }
+  unsigned applied() const { return applied_; }
 
-/// Caps the exhaustive cutover so a degraded evaluation switches to
-/// (cheaper) sampling where the full-fidelity one enumerates.
-std::uint32_t shed_exhaustive_bits(std::uint32_t bits, unsigned level,
-                                   unsigned& applied) {
-  if (level == 0) return bits;
-  const std::uint32_t cap = level >= 2 ? DegradeFloors::kExhaustiveBitsL2
-                                       : DegradeFloors::kExhaustiveBitsL1;
-  if (bits <= cap) return bits;
-  applied = std::max(applied, level);
-  return cap;
-}
+  /// Quarters \p value per level, clamped below by min(value, floor).
+  std::uint64_t quartering(std::uint64_t value, std::uint64_t floor) {
+    if (level() == 0) return value;
+    const unsigned shift = std::min(2 * level(), 63u);
+    const std::uint64_t shed =
+        std::max(std::min(value, floor), value >> shift);
+    if (shed != value) apply();
+    return shed;
+  }
 
-/// Halves the motion-search range per level, floor 1.
-std::uint8_t shed_search_range(std::uint8_t range, unsigned level,
-                               unsigned& applied) {
-  if (level == 0) return range;
-  const unsigned shift = std::min<unsigned>(level, 7);
-  const auto shed = static_cast<std::uint8_t>(
-      std::max<unsigned>(1, static_cast<unsigned>(range) >> shift));
-  if (shed != range) applied = std::max(applied, level);
-  return shed;
-}
+  /// Caps the exhaustive cutover so a degraded evaluation switches to
+  /// (cheaper) sampling where the full-fidelity one enumerates.
+  std::uint32_t exhaustive_bits(std::uint32_t bits) {
+    if (level() == 0) return bits;
+    const std::uint32_t cap = level() >= 2 ? DegradeFloors::kExhaustiveBitsL2
+                                           : DegradeFloors::kExhaustiveBitsL1;
+    if (bits <= cap) return bits;
+    apply();
+    return cap;
+  }
 
-/// Drops the optional per-config power sim — the dominating cost of every
-/// design-space sweep — under degradation. The accuracy/area ranking is
-/// exact maths and survives; power_nw reads 0 and the level byte makes
-/// the substitution visible to the client.
-bool shed_power_estimate(bool estimate_power, unsigned level,
-                         unsigned& applied) {
-  if (level == 0 || !estimate_power) return estimate_power;
-  applied = std::max(applied, level);
-  return false;
-}
+  /// Halves the motion-search range per level, floor 1.
+  std::uint8_t search_range(std::uint8_t range) {
+    if (level() == 0) return range;
+    const unsigned shift = std::min<unsigned>(level(), 7);
+    const auto shed = static_cast<std::uint8_t>(
+        std::max<unsigned>(1, static_cast<unsigned>(range) >> shift));
+    if (shed != range) apply();
+    return shed;
+  }
+
+  /// Drops the optional per-config power sim — the dominating cost of
+  /// every design-space sweep — under degradation. The accuracy/area
+  /// ranking is exact maths and survives; power_nw reads 0 and the level
+  /// byte makes the substitution visible to the client.
+  bool power_estimate(bool estimate_power) {
+    if (level() == 0 || !estimate_power) return estimate_power;
+    apply();
+    return false;
+  }
+
+ private:
+  unsigned level() const { return options_.degrade_level; }
+  void apply() { applied_ = std::max(applied_, level()); }
+
+  const DispatchOptions& options_;
+  unsigned applied_ = 0;
+};
 
 // --- Shared design-space plumbing -----------------------------------------
 //
@@ -89,55 +100,67 @@ bool shed_power_estimate(bool estimate_power, unsigned level,
 // Pareto front, which single point maximizes accuracy, and which is the
 // cheapest meeting an accuracy floor. The tie-breaks (first maximum,
 // first minimum, points.size() as the none/infeasible sentinel) mirror
-// core::max_accuracy_config / min_area_config_with_accuracy so the gear
-// endpoint's wire behavior is unchanged by the refactor.
+// core::max_accuracy_config / min_area_config_with_accuracy.
 
-struct DesignSpaceSelection {
-  std::vector<bool> on_front;
-  std::uint32_t max_accuracy_index = 0;
-  std::uint32_t min_area_index = 0;
-};
+/// Builds the response for a swept \p space (entries carry a
+/// core::DesignPoint `point`); \p fill copies each entry's
+/// family-specific fields into its wire point.
+template <class Response, class Space, class Fill>
+Response rank_design_space(const Space& space, double min_accuracy,
+                           Fill fill) {
+  std::vector<core::DesignPoint> flat;
+  flat.reserve(space.size());
+  for (const auto& entry : space) flat.push_back(entry.point);
 
-DesignSpaceSelection select_design_space(
-    const std::vector<core::DesignPoint>& flat, double min_accuracy) {
-  DesignSpaceSelection selection;
-  selection.on_front.assign(flat.size(), false);
+  Response response;
+  response.points.resize(flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    auto& point = response.points[i];
+    fill(point, space[i]);
+    point.area_ge = flat[i].area_ge;
+    point.power_nw = flat[i].power_nw;
+    point.accuracy_percent = flat[i].accuracy_percent;
+  }
   const auto front = core::pareto_front(
       flat, {core::minimize_area(), core::minimize_error()});
-  for (const std::size_t i : front) selection.on_front[i] = true;
+  for (const std::size_t i : front) response.points[i].on_pareto_front = true;
 
   std::size_t best_accuracy = flat.size();
+  std::size_t best_area = flat.size();
   for (std::size_t i = 0; i < flat.size(); ++i) {
     if (best_accuracy == flat.size() ||
         flat[i].accuracy_percent > flat[best_accuracy].accuracy_percent) {
       best_accuracy = i;
     }
-  }
-  std::size_t best_area = flat.size();
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    if (flat[i].accuracy_percent < min_accuracy) continue;
-    if (best_area == flat.size() ||
-        flat[i].area_ge < flat[best_area].area_ge) {
+    if (flat[i].accuracy_percent >= min_accuracy &&
+        (best_area == flat.size() ||
+         flat[i].area_ge < flat[best_area].area_ge)) {
       best_area = i;
     }
   }
-  selection.max_accuracy_index = static_cast<std::uint32_t>(best_accuracy);
-  selection.min_area_index = static_cast<std::uint32_t>(best_area);
-  return selection;
-}
-
-CharacterizeResponse from_characterization(const logic::Characterization& c) {
-  CharacterizeResponse response;
-  response.area_ge = c.area_ge;
-  response.power_nw = c.power_nw;
-  response.gate_count = c.gate_count;
+  response.max_accuracy_index = static_cast<std::uint32_t>(best_accuracy);
+  response.min_area_index = static_cast<std::uint32_t>(best_area);
   return response;
 }
 
-Bytes handle_characterize_adder(std::span<const std::uint8_t> body,
-                                const DispatchOptions& options,
-                                unsigned& applied) {
-  const CharacterizeAdderRequest request = decode_characterize_adder(body);
+void check_min_accuracy(double min_accuracy, const char* message) {
+  check(min_accuracy >= 0.0 && min_accuracy <= 100.0, message);
+}
+
+// --- Handlers: one `handle` overload per endpoint-table request type ------
+
+CharacterizeResponse characterize(const logic::Netlist& netlist,
+                                  std::uint64_t vectors, std::uint64_t seed,
+                                  Ladder& ladder) {
+  const logic::Characterization c = logic::characterize(
+      netlist, std::nullopt,
+      ladder.quartering(vectors, DegradeFloors::kMinCharacterizeVectors),
+      seed);
+  return {c.area_ge, c.power_nw, c.gate_count};
+}
+
+CharacterizeResponse handle(const CharacterizeAdderRequest& request,
+                            Ladder& ladder) {
   check(request.width >= 1 &&
             request.width <= DispatchLimits::kMaxAdderWidth,
         "characterize_adder: width out of [1, 32]");
@@ -145,49 +168,32 @@ Bytes handle_characterize_adder(std::span<const std::uint8_t> body,
             request.vectors <= DispatchLimits::kMaxCharacterizeVectors,
         "characterize_adder: vectors out of [1, 65536]");
   logic::Netlist netlist;
-  switch (request.family) {
-    case AdderFamily::Gear: {
-      const arith::GeArConfig config{request.width, request.param_a,
-                                     request.param_b};
-      check(config.is_valid(),
-            "characterize_adder: invalid GeAr(N, R, P) configuration");
-      netlist = logic::gear_adder_netlist(config);
-      break;
-    }
-    case AdderFamily::Loa:
-      check(request.param_a <= request.width,
-            "characterize_adder: approx_lsbs exceeds width");
+  if (request.family == AdderFamily::Gear) {
+    const arith::GeArConfig config{request.width, request.param_a,
+                                   request.param_b};
+    check(config.is_valid(),
+          "characterize_adder: invalid GeAr(N, R, P) configuration");
+    netlist = logic::gear_adder_netlist(config);
+  } else {
+    check(request.param_a <= request.width,
+          "characterize_adder: approx_lsbs exceeds width");
+    if (request.family == AdderFamily::Loa) {
       netlist = logic::loa_adder_netlist(request.width, request.param_a);
-      break;
-    case AdderFamily::Etai:
-      check(request.param_a <= request.width,
-            "characterize_adder: approx_lsbs exceeds width");
+    } else if (request.family == AdderFamily::Etai) {
       netlist = logic::etai_adder_netlist(request.width, request.param_a);
-      break;
-    case AdderFamily::Ripple: {
-      check(request.param_a <= request.width,
-            "characterize_adder: approx_lsbs exceeds width");
+    } else {
       const auto model = arith::RippleAdder::lsb_approximated(
           request.width, request.cell, request.param_a);
       netlist = logic::ripple_adder_netlist(model.cells());
-      break;
     }
   }
   // Area/power only: quality questions go to evaluate_error, which scales
   // past the widths a truth-table reference could enumerate.
-  const std::uint64_t vectors =
-      shed_quartering(request.vectors, options.degrade_level,
-                      DegradeFloors::kMinCharacterizeVectors, applied);
-  const logic::Characterization c =
-      logic::characterize(netlist, std::nullopt, vectors, request.seed);
-  return encode_response(from_characterization(c));
+  return characterize(netlist, request.vectors, request.seed, ladder);
 }
 
-Bytes handle_characterize_multiplier(std::span<const std::uint8_t> body,
-                                     const DispatchOptions& options,
-                                     unsigned& applied) {
-  const CharacterizeMultiplierRequest request =
-      decode_characterize_multiplier(body);
+CharacterizeResponse handle(const CharacterizeMultiplierRequest& request,
+                            Ladder& ladder) {
   check(request.width >= 2 && request.width <= 16 &&
             std::has_single_bit(request.width),
         "characterize_multiplier: width must be a power of two in [2, 16]");
@@ -208,30 +214,21 @@ Bytes handle_characterize_multiplier(std::span<const std::uint8_t> body,
     netlist = logic::wallace_netlist(request.width, request.cell,
                                      request.approx_lsbs);
   }
-  const std::uint64_t vectors =
-      shed_quartering(request.vectors, options.degrade_level,
-                      DegradeFloors::kMinCharacterizeVectors, applied);
-  const logic::Characterization c =
-      logic::characterize(netlist, std::nullopt, vectors, request.seed);
-  return encode_response(from_characterization(c));
+  return characterize(netlist, request.vectors, request.seed, ladder);
 }
 
-Bytes handle_evaluate_error(std::span<const std::uint8_t> body,
-                            const DispatchOptions& options,
-                            unsigned& applied) {
-  const EvaluateErrorRequest request = decode_evaluate_error(body);
+EvaluateErrorResponse handle(const EvaluateErrorRequest& request,
+                             Ladder& ladder) {
   check(request.max_exhaustive_bits <= DispatchLimits::kMaxExhaustiveBits,
         "evaluate_error: max_exhaustive_bits out of [0, 24]");
   check(request.samples >= 1 &&
             request.samples <= DispatchLimits::kMaxSamples,
         "evaluate_error: samples out of [1, 2^24]");
   error::EvalOptions eval;
-  eval.max_exhaustive_bits = shed_exhaustive_bits(
-      request.max_exhaustive_bits, options.degrade_level, applied);
-  eval.samples = shed_quartering(request.samples, options.degrade_level,
-                                 DegradeFloors::kMinSamples, applied);
+  eval.max_exhaustive_bits = ladder.exhaustive_bits(request.max_exhaustive_bits);
+  eval.samples = ladder.quartering(request.samples, DegradeFloors::kMinSamples);
   eval.seed = request.seed;
-  eval.threads = std::max(1u, options.eval_threads);
+  eval.threads = ladder.eval_threads();
 
   error::ErrorStats stats;
   if (request.target == EvalTarget::GearAdder) {
@@ -258,65 +255,39 @@ Bytes handle_evaluate_error(std::span<const std::uint8_t> body,
     const arith::ApproxMultiplier multiplier(config);
     stats = error::evaluate_multiplier(multiplier, eval);
   }
-
-  EvaluateErrorResponse response;
-  response.samples = stats.samples;
-  response.error_count = stats.error_count;
-  response.max_error = stats.max_error;
-  response.error_rate = stats.error_rate;
-  response.mean_error_distance = stats.mean_error_distance;
-  response.normalized_med = stats.normalized_med;
-  response.mean_relative_error = stats.mean_relative_error;
-  response.mean_squared_error = stats.mean_squared_error;
-  response.root_mean_squared_error = stats.root_mean_squared_error;
-  response.exhaustive = stats.exhaustive;
-  return encode_response(response);
+  return {stats.samples,
+          stats.error_count,
+          stats.max_error,
+          stats.error_rate,
+          stats.mean_error_distance,
+          stats.normalized_med,
+          stats.mean_relative_error,
+          stats.mean_squared_error,
+          stats.root_mean_squared_error,
+          stats.exhaustive};
 }
 
-Bytes handle_gear_design_space(std::span<const std::uint8_t> body,
-                               const DispatchOptions& options,
-                               unsigned& applied) {
-  const GearDesignSpaceRequest request = decode_gear_design_space(body);
+GearDesignSpaceResponse handle(const GearDesignSpaceRequest& request,
+                               Ladder& ladder) {
   check(request.width >= 2 &&
             request.width <= DispatchLimits::kMaxGearSpaceWidth,
         "gear_design_space: width out of [2, 16]");
-  check(request.min_accuracy >= 0.0 && request.min_accuracy <= 100.0,
-        "gear_design_space: min_accuracy out of [0, 100]");
+  check_min_accuracy(request.min_accuracy,
+                     "gear_design_space: min_accuracy out of [0, 100]");
   core::ExploreOptions explore;
   explore.min_p = request.min_p;
   explore.include_exact = request.include_exact;
-  explore.estimate_power = shed_power_estimate(
-      request.estimate_power, options.degrade_level, applied);
-  const auto space = core::explore_gear_space(request.width, explore);
-
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-  const DesignSpaceSelection selection =
-      select_design_space(flat, request.min_accuracy);
-
-  GearDesignSpaceResponse response;
-  response.points.reserve(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    GearDesignSpacePoint point;
-    point.r = space[i].config.r;
-    point.p = space[i].config.p;
-    point.area_ge = space[i].point.area_ge;
-    point.power_nw = space[i].point.power_nw;
-    point.accuracy_percent = space[i].point.accuracy_percent;
-    point.on_pareto_front = selection.on_front[i];
-    response.points.push_back(point);
-  }
-  response.max_accuracy_index = selection.max_accuracy_index;
-  response.min_area_index = selection.min_area_index;
-  return encode_response(response);
+  explore.estimate_power = ladder.power_estimate(request.estimate_power);
+  return rank_design_space<GearDesignSpaceResponse>(
+      core::explore_gear_space(request.width, explore), request.min_accuracy,
+      [](GearDesignSpacePoint& point, const auto& entry) {
+        point.r = entry.config.r;
+        point.p = entry.config.p;
+      });
 }
 
-Bytes handle_hetero_adder_design_space(std::span<const std::uint8_t> body,
-                                       const DispatchOptions& options,
-                                       unsigned& applied) {
-  const HeteroAdderDesignSpaceRequest request =
-      decode_hetero_adder_design_space(body);
+HeteroAdderDesignSpaceResponse handle(
+    const HeteroAdderDesignSpaceRequest& request, Ladder& ladder) {
   check(request.width >= 2 &&
             request.width <= DispatchLimits::kMaxHeteroSpaceWidth,
         "hetero_adder_design_space: width out of [2, 32]");
@@ -324,136 +295,77 @@ Bytes handle_hetero_adder_design_space(std::span<const std::uint8_t> body,
             request.block_width <= DispatchLimits::kMaxHeteroBlockWidth &&
             request.block_width <= request.width,
         "hetero_adder_design_space: block_width out of [1, min(width, 8)]");
-  check(request.min_accuracy >= 0.0 && request.min_accuracy <= 100.0,
-        "hetero_adder_design_space: min_accuracy out of [0, 100]");
+  check_min_accuracy(request.min_accuracy,
+                     "hetero_adder_design_space: min_accuracy out of [0, 100]");
   designspace::SweepOptions sweep;
-  sweep.estimate_power = shed_power_estimate(
-      request.estimate_power, options.degrade_level, applied);
-  const auto space = designspace::explore_hetero_space(
-      request.width, request.block_width, request.include_truncated, sweep);
-
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-  const DesignSpaceSelection selection =
-      select_design_space(flat, request.min_accuracy);
-
-  HeteroAdderDesignSpaceResponse response;
-  response.points.reserve(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    HeteroAdderDesignSpacePoint point;
-    point.low_kind = space[i].low_kind;
-    point.approx_blocks = space[i].approx_blocks;
-    point.area_ge = space[i].point.area_ge;
-    point.power_nw = space[i].point.power_nw;
-    point.accuracy_percent = space[i].point.accuracy_percent;
-    point.error_rate = space[i].model.error_rate;
-    point.med = space[i].model.med;
-    point.nmed = space[i].model.nmed;
-    point.wce = space[i].model.wce;
-    point.on_pareto_front = selection.on_front[i];
-    response.points.push_back(point);
-  }
-  response.max_accuracy_index = selection.max_accuracy_index;
-  response.min_area_index = selection.min_area_index;
-  return encode_response(response);
+  sweep.estimate_power = ladder.power_estimate(request.estimate_power);
+  return rank_design_space<HeteroAdderDesignSpaceResponse>(
+      designspace::explore_hetero_space(request.width, request.block_width,
+                                        request.include_truncated, sweep),
+      request.min_accuracy,
+      [](HeteroAdderDesignSpacePoint& point, const auto& entry) {
+        point.low_kind = entry.low_kind;
+        point.approx_blocks = entry.approx_blocks;
+        point.error_rate = entry.model.error_rate;
+        point.med = entry.model.med;
+        point.nmed = entry.model.nmed;
+        point.wce = entry.model.wce;
+      });
 }
 
-Bytes handle_array_mul_design_space(std::span<const std::uint8_t> body,
-                                    const DispatchOptions& options,
-                                    unsigned& applied) {
-  const ArrayMulDesignSpaceRequest request =
-      decode_array_mul_design_space(body);
+ArrayMulDesignSpaceResponse handle(const ArrayMulDesignSpaceRequest& request,
+                                   Ladder& ladder) {
   check(request.width >= 2 &&
             request.width <= DispatchLimits::kMaxMulSpaceWidth,
         "array_mul_design_space: width out of [2, 16]");
   check(request.max_approx_columns <= 2 * request.width,
         "array_mul_design_space: max_approx_columns exceeds product width");
-  check(request.min_accuracy >= 0.0 && request.min_accuracy <= 100.0,
-        "array_mul_design_space: min_accuracy out of [0, 100]");
+  check_min_accuracy(request.min_accuracy,
+                     "array_mul_design_space: min_accuracy out of [0, 100]");
   designspace::SweepOptions sweep;
-  sweep.estimate_power = shed_power_estimate(
-      request.estimate_power, options.degrade_level, applied);
-  const auto space = designspace::explore_compressor_mul_space(
-      request.width, request.max_approx_columns, sweep);
-
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-  const DesignSpaceSelection selection =
-      select_design_space(flat, request.min_accuracy);
-
-  ArrayMulDesignSpaceResponse response;
-  response.points.reserve(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    ArrayMulDesignSpacePoint point;
-    point.compressor = space[i].kind;
-    point.approx_columns = space[i].approx_columns;
-    point.area_ge = space[i].point.area_ge;
-    point.power_nw = space[i].point.power_nw;
-    point.accuracy_percent = space[i].point.accuracy_percent;
-    point.error_rate_est = space[i].model.error_rate_est;
-    point.med_est = space[i].model.med_est;
-    point.nmed_est = space[i].model.nmed_est;
-    point.model_exact = space[i].model.exact;
-    point.on_pareto_front = selection.on_front[i];
-    response.points.push_back(point);
-  }
-  response.max_accuracy_index = selection.max_accuracy_index;
-  response.min_area_index = selection.min_area_index;
-  return encode_response(response);
+  sweep.estimate_power = ladder.power_estimate(request.estimate_power);
+  return rank_design_space<ArrayMulDesignSpaceResponse>(
+      designspace::explore_compressor_mul_space(
+          request.width, request.max_approx_columns, sweep),
+      request.min_accuracy,
+      [](ArrayMulDesignSpacePoint& point, const auto& entry) {
+        point.compressor = entry.kind;
+        point.approx_columns = entry.approx_columns;
+        point.error_rate_est = entry.model.error_rate_est;
+        point.med_est = entry.model.med_est;
+        point.nmed_est = entry.model.nmed_est;
+        point.model_exact = entry.model.exact;
+      });
 }
 
-Bytes handle_static_adder_design_space(std::span<const std::uint8_t> body,
-                                       const DispatchOptions& options,
-                                       unsigned& applied) {
-  const StaticAdderDesignSpaceRequest request =
-      decode_static_adder_design_space(body);
+StaticAdderDesignSpaceResponse handle(
+    const StaticAdderDesignSpaceRequest& request, Ladder& ladder) {
   check(request.width >= 2 &&
             request.width <= DispatchLimits::kMaxStaticSpaceWidth,
         "static_adder_design_space: width out of [2, 32]");
   check(request.max_approx_lsbs <= request.width &&
             request.max_approx_lsbs <= DispatchLimits::kMaxStaticApproxLsbs,
         "static_adder_design_space: max_approx_lsbs out of [0, min(width, 10)]");
-  check(request.min_accuracy >= 0.0 && request.min_accuracy <= 100.0,
-        "static_adder_design_space: min_accuracy out of [0, 100]");
+  check_min_accuracy(request.min_accuracy,
+                     "static_adder_design_space: min_accuracy out of [0, 100]");
   designspace::SweepOptions sweep;
-  sweep.estimate_power = shed_power_estimate(
-      request.estimate_power, options.degrade_level, applied);
-  const auto space = designspace::explore_static_adder_space(
-      request.width, request.max_approx_lsbs, sweep);
-
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-  const DesignSpaceSelection selection =
-      select_design_space(flat, request.min_accuracy);
-
-  StaticAdderDesignSpaceResponse response;
-  response.points.reserve(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    StaticAdderDesignSpacePoint point;
-    point.kind = space[i].kind;
-    point.approx_lsbs = space[i].approx_lsbs;
-    point.area_ge = space[i].point.area_ge;
-    point.power_nw = space[i].point.power_nw;
-    point.accuracy_percent = space[i].point.accuracy_percent;
-    point.error_rate = space[i].model.error_rate;
-    point.med = space[i].model.med;
-    point.nmed = space[i].model.nmed;
-    point.wce = space[i].model.wce;
-    point.on_pareto_front = selection.on_front[i];
-    response.points.push_back(point);
-  }
-  response.max_accuracy_index = selection.max_accuracy_index;
-  response.min_area_index = selection.min_area_index;
-  return encode_response(response);
+  sweep.estimate_power = ladder.power_estimate(request.estimate_power);
+  return rank_design_space<StaticAdderDesignSpaceResponse>(
+      designspace::explore_static_adder_space(request.width,
+                                              request.max_approx_lsbs, sweep),
+      request.min_accuracy,
+      [](StaticAdderDesignSpacePoint& point, const auto& entry) {
+        point.kind = entry.kind;
+        point.approx_lsbs = entry.approx_lsbs;
+        point.error_rate = entry.model.error_rate;
+        point.med = entry.model.med;
+        point.nmed = entry.model.nmed;
+        point.wce = entry.model.wce;
+      });
 }
 
-Bytes handle_encode_probe(std::span<const std::uint8_t> body,
-                          const DispatchOptions& options,
-                          unsigned& applied) {
-  const EncodeProbeRequest request = decode_encode_probe(body);
+EncodeProbeResponse handle(const EncodeProbeRequest& request,
+                           Ladder& ladder) {
   check(request.block_size >= 2 && request.block_size <= 16,
         "encode_probe: block_size out of [2, 16]");
   check(request.width >= request.block_size &&
@@ -496,18 +408,26 @@ Bytes handle_encode_probe(std::span<const std::uint8_t> body,
 
   video::EncoderConfig ec;
   ec.motion.block_size = request.block_size;
-  ec.motion.search_range =
-      shed_search_range(request.search_range, options.degrade_level, applied);
+  ec.motion.search_range = ladder.search_range(request.search_range);
   ec.quant_step = request.quant_step;
-  ec.threads = std::max(1u, options.eval_threads);
+  ec.threads = ladder.eval_threads();
   const video::EncodeStats stats = video::Encoder(ec, sad).encode(sequence);
+  return {stats.total_bits, stats.bits_per_frame, stats.psnr_db,
+          stats.sad_calls};
+}
 
-  EncodeProbeResponse response;
-  response.total_bits = stats.total_bits;
-  response.bits_per_frame = stats.bits_per_frame;
-  response.psnr_db = stats.psnr_db;
-  response.sad_calls = stats.sad_calls;
-  return encode_response(response);
+OkResponse handle(const PingRequest&, Ladder&) { return {}; }
+
+OkResponse handle(const ShutdownRequest&, Ladder&) {
+  throw PolicyError(
+      "shutdown is transport-level (enable it on the TCP server)");
+}
+
+OkResponse handle(const CacheInsertRequest&, Ladder&) {
+  // Server::submit intercepts replication seeds before dispatch; reaching
+  // here means the transport lacks a Server (raw dispatch).
+  throw PolicyError(
+      "cache_insert is server-level (enable accept_cache_inserts)");
 }
 
 }  // namespace
@@ -520,55 +440,17 @@ Bytes dispatch(std::span<const std::uint8_t> request,
                                  "unparseable request header");
   }
   const auto body = request.subspan(kRequestHeaderBytes);
-  // The level each handler *actually* shed to; stamped into the Ok
+  // Tracks the level each handler *actually* shed to; stamped into the Ok
   // response header so clients can see which ladder rung answered.
-  unsigned applied = 0;
+  Ladder ladder(options);
   try {
     Bytes response;
-    switch (header->endpoint) {
-      case Endpoint::CharacterizeAdder:
-        response = handle_characterize_adder(body, options, applied);
-        break;
-      case Endpoint::CharacterizeMultiplier:
-        response = handle_characterize_multiplier(body, options, applied);
-        break;
-      case Endpoint::EvaluateError:
-        response = handle_evaluate_error(body, options, applied);
-        break;
-      case Endpoint::GearDesignSpace:
-        response = handle_gear_design_space(body, options, applied);
-        break;
-      case Endpoint::EncodeProbe:
-        response = handle_encode_probe(body, options, applied);
-        break;
-      case Endpoint::HeteroAdderDesignSpace:
-        response = handle_hetero_adder_design_space(body, options, applied);
-        break;
-      case Endpoint::ArrayMulDesignSpace:
-        response = handle_array_mul_design_space(body, options, applied);
-        break;
-      case Endpoint::StaticAdderDesignSpace:
-        response = handle_static_adder_design_space(body, options, applied);
-        break;
-      case Endpoint::Ping:
-        response = encode_ok_response();
-        break;
-      case Endpoint::Shutdown:
-        return encode_error_response(
-            Status::BadRequest,
-            "shutdown is transport-level (enable it on the TCP server)");
-      case Endpoint::CacheInsert:
-        // Server::submit intercepts replication seeds before dispatch;
-        // reaching here means the transport lacks a Server (raw dispatch).
-        return encode_error_response(
-            Status::BadRequest,
-            "cache_insert is server-level (enable accept_cache_inserts)");
-    }
-    if (response.empty()) {
-      return encode_error_response(Status::BadRequest, "unknown endpoint");
-    }
+    visit_endpoint(header->endpoint, [&](auto spec) {
+      using Request = typename decltype(spec)::Request;
+      response = encode_response(handle(decode_body<Request>(body), ladder));
+    });
     set_response_level(
-        response, static_cast<std::uint8_t>(std::min(applied, 255u)));
+        response, static_cast<std::uint8_t>(std::min(ladder.applied(), 255u)));
     return response;
   } catch (const PolicyError& e) {
     return encode_error_response(Status::BadRequest, e.what());

@@ -1,6 +1,5 @@
 #include "axc/service/protocol.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "axc/common/require.hpp"
@@ -8,95 +7,34 @@
 
 namespace axc::service {
 
-namespace {
-
-// --- Little-endian primitives ---------------------------------------------
-
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+std::string_view endpoint_name(Endpoint endpoint) {
+  std::string_view name = "unknown";
+  visit_endpoint(endpoint, [&](auto spec) { name = decltype(spec)::name; });
+  return name;
 }
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::string_view status_name(Status status) {
+  switch (status) {
+    case Status::Ok: return "ok";
+    case Status::BadRequest: return "bad_request";
+    case Status::Overloaded: return "overloaded";
+    case Status::DeadlineExceeded: return "deadline_exceeded";
+    case Status::ShuttingDown: return "shutting_down";
+    case Status::InternalError: return "internal_error";
   }
+  return "unknown";
 }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+ServiceError::ServiceError(Status status, const std::string& message)
+    : std::runtime_error(std::string(status_name(status)) + ": " + message),
+      status_(status) {}
 
-void put_f64(Bytes& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+namespace wire {
 
-void put_string(Bytes& out, std::string_view text) {
-  put_u32(out, static_cast<std::uint32_t>(text.size()));
-  out.insert(out.end(), text.begin(), text.end());
-}
-
-/// Sequential reader over a payload; every getter throws DecodeError on
-/// underrun so truncated frames surface as BadRequest, never as UB.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() {
-    const auto b = take(2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  }
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
-  std::uint64_t u64() {
-    const auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string string() {
-    const std::uint32_t n = u32();
-    const auto b = take(n);
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-  bool done() const { return pos_ == data_.size(); }
-  void expect_done() const {
-    if (!done()) throw DecodeError("trailing bytes after payload");
-  }
-
- private:
-  std::span<const std::uint8_t> take(std::size_t n) {
-    if (data_.size() - pos_ < n) throw DecodeError("truncated payload");
-    const auto view = data_.subspan(pos_, n);
-    pos_ += n;
-    return view;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-template <typename Enum>
-Enum checked_enum(std::uint8_t raw, std::uint8_t max, const char* what) {
-  if (raw > max) {
-    throw DecodeError(std::string("invalid ") + what + " value " +
-                      std::to_string(raw));
-  }
-  return static_cast<Enum>(raw);
-}
-
-Bytes request_prefix(Endpoint endpoint, std::uint32_t deadline_ms) {
+Bytes request_prefix(Endpoint endpoint, std::uint32_t deadline_ms,
+                     std::size_t body_bytes) {
   Bytes out;
+  out.reserve(kRequestHeaderBytes + body_bytes);
   put_u8(out, kProtocolVersion);
   put_u8(out, static_cast<std::uint8_t>(endpoint));
   put_u32(out, deadline_ms);
@@ -111,8 +49,6 @@ Bytes response_prefix(Status status) {
   return out;
 }
 
-/// Splits a response into its status and body, throwing ServiceError for
-/// transported non-Ok statuses.
 std::span<const std::uint8_t> ok_body(std::span<const std::uint8_t> response) {
   if (response.size() < kResponseHeaderBytes) {
     throw DecodeError("truncated response");
@@ -133,438 +69,32 @@ std::span<const std::uint8_t> ok_body(std::span<const std::uint8_t> response) {
   throw ServiceError(status, message);
 }
 
-}  // namespace
-
-std::string_view endpoint_name(Endpoint endpoint) {
-  switch (endpoint) {
-    case Endpoint::CharacterizeAdder: return "characterize_adder";
-    case Endpoint::CharacterizeMultiplier: return "characterize_multiplier";
-    case Endpoint::EvaluateError: return "evaluate_error";
-    case Endpoint::GearDesignSpace: return "gear_design_space";
-    case Endpoint::EncodeProbe: return "encode_probe";
-    case Endpoint::Ping: return "ping";
-    case Endpoint::Shutdown: return "shutdown";
-    case Endpoint::CacheInsert: return "cache_insert";
-    case Endpoint::HeteroAdderDesignSpace: return "hetero_adder_design_space";
-    case Endpoint::ArrayMulDesignSpace: return "array_mul_design_space";
-    case Endpoint::StaticAdderDesignSpace: return "static_adder_design_space";
-  }
-  return "unknown";
-}
-
-std::string_view status_name(Status status) {
-  switch (status) {
-    case Status::Ok: return "ok";
-    case Status::BadRequest: return "bad_request";
-    case Status::Overloaded: return "overloaded";
-    case Status::DeadlineExceeded: return "deadline_exceeded";
-    case Status::ShuttingDown: return "shutting_down";
-    case Status::InternalError: return "internal_error";
-  }
-  return "unknown";
-}
-
-ServiceError::ServiceError(Status status, const std::string& message)
-    : std::runtime_error(std::string(status_name(status)) + ": " + message),
-      status_(status) {}
-
-// --- Header ---------------------------------------------------------------
+}  // namespace wire
 
 std::optional<RequestHeader> parse_request_header(
     std::span<const std::uint8_t> request) {
   if (request.size() < kRequestHeaderBytes) return std::nullopt;
   if (request[0] != kProtocolVersion) return std::nullopt;
-  const std::uint8_t raw = request[1];
-  if (raw < static_cast<std::uint8_t>(Endpoint::CharacterizeAdder) ||
-      raw > static_cast<std::uint8_t>(Endpoint::StaticAdderDesignSpace)) {
-    return std::nullopt;
-  }
   RequestHeader header;
   header.version = request[0];
-  header.endpoint = static_cast<Endpoint>(raw);
-  header.deadline_ms = static_cast<std::uint32_t>(
-      request[2] | (request[3] << 8) | (request[4] << 16) |
-      (static_cast<std::uint32_t>(request[5]) << 24));
+  header.endpoint = static_cast<Endpoint>(request[1]);
+  if (!visit_endpoint(header.endpoint, [](auto) {})) return std::nullopt;
+  header.deadline_ms = wire::Reader(request.subspan(2, 4)).u32();
   return header;
-}
-
-// --- Request encoders -----------------------------------------------------
-
-Bytes encode_request(const CharacterizeAdderRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::CharacterizeAdder, deadline_ms);
-  put_u8(out, static_cast<std::uint8_t>(request.family));
-  put_u32(out, request.width);
-  put_u32(out, request.param_a);
-  put_u32(out, request.param_b);
-  put_u8(out, static_cast<std::uint8_t>(request.cell));
-  put_u64(out, request.vectors);
-  put_u64(out, request.seed);
-  return out;
-}
-
-Bytes encode_request(const CharacterizeMultiplierRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::CharacterizeMultiplier, deadline_ms);
-  put_u8(out, static_cast<std::uint8_t>(request.structure));
-  put_u32(out, request.width);
-  put_u8(out, static_cast<std::uint8_t>(request.block));
-  put_u8(out, static_cast<std::uint8_t>(request.cell));
-  put_u32(out, request.approx_lsbs);
-  put_u64(out, request.vectors);
-  put_u64(out, request.seed);
-  return out;
-}
-
-Bytes encode_request(const EvaluateErrorRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::EvaluateError, deadline_ms);
-  put_u8(out, static_cast<std::uint8_t>(request.target));
-  put_u32(out, request.gear.n);
-  put_u32(out, request.gear.r);
-  put_u32(out, request.gear.p);
-  put_u32(out, request.correction_iterations);
-  put_u32(out, request.mul_width);
-  put_u8(out, static_cast<std::uint8_t>(request.mul_block));
-  put_u8(out, static_cast<std::uint8_t>(request.mul_cell));
-  put_u32(out, request.mul_approx_lsbs);
-  put_u32(out, request.max_exhaustive_bits);
-  put_u64(out, request.samples);
-  put_u64(out, request.seed);
-  return out;
-}
-
-Bytes encode_request(const GearDesignSpaceRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::GearDesignSpace, deadline_ms);
-  put_u32(out, request.width);
-  put_u32(out, request.min_p);
-  put_u8(out, request.include_exact ? 1 : 0);
-  put_u8(out, request.estimate_power ? 1 : 0);
-  put_f64(out, request.min_accuracy);
-  return out;
-}
-
-Bytes encode_request(const HeteroAdderDesignSpaceRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::HeteroAdderDesignSpace, deadline_ms);
-  put_u32(out, request.width);
-  put_u32(out, request.block_width);
-  put_u8(out, request.include_truncated ? 1 : 0);
-  put_u8(out, request.estimate_power ? 1 : 0);
-  put_f64(out, request.min_accuracy);
-  return out;
-}
-
-Bytes encode_request(const ArrayMulDesignSpaceRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::ArrayMulDesignSpace, deadline_ms);
-  put_u32(out, request.width);
-  put_u32(out, request.max_approx_columns);
-  put_u8(out, request.estimate_power ? 1 : 0);
-  put_f64(out, request.min_accuracy);
-  return out;
-}
-
-Bytes encode_request(const StaticAdderDesignSpaceRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::StaticAdderDesignSpace, deadline_ms);
-  put_u32(out, request.width);
-  put_u32(out, request.max_approx_lsbs);
-  put_u8(out, request.estimate_power ? 1 : 0);
-  put_f64(out, request.min_accuracy);
-  return out;
-}
-
-Bytes encode_request(const EncodeProbeRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::EncodeProbe, deadline_ms);
-  put_u16(out, request.width);
-  put_u16(out, request.height);
-  put_u16(out, request.frames);
-  put_u16(out, request.objects);
-  put_u64(out, request.sequence_seed);
-  put_u8(out, request.sad_variant);
-  put_u8(out, request.approx_lsbs);
-  put_u8(out, request.block_size);
-  put_u8(out, request.search_range);
-  put_u16(out, request.quant_step);
-  return out;
 }
 
 Bytes encode_request(Endpoint endpoint, std::uint32_t deadline_ms) {
   require(endpoint == Endpoint::Ping || endpoint == Endpoint::Shutdown,
           "encode_request: endpoint requires a typed body");
-  return request_prefix(endpoint, deadline_ms);
+  return wire::request_prefix(endpoint, deadline_ms, 0);
 }
-
-Bytes encode_request(const CacheInsertRequest& request,
-                     std::uint32_t deadline_ms) {
-  Bytes out = request_prefix(Endpoint::CacheInsert, deadline_ms);
-  put_u32(out, static_cast<std::uint32_t>(request.canonical.size()));
-  out.insert(out.end(), request.canonical.begin(), request.canonical.end());
-  out.insert(out.end(), request.response.begin(), request.response.end());
-  return out;
-}
-
-// --- Request decoders -----------------------------------------------------
-
-CharacterizeAdderRequest decode_characterize_adder(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  CharacterizeAdderRequest request;
-  request.family = checked_enum<AdderFamily>(reader.u8(), 3, "adder family");
-  request.width = reader.u32();
-  request.param_a = reader.u32();
-  request.param_b = reader.u32();
-  request.cell = checked_enum<arith::FullAdderKind>(
-      reader.u8(), arith::kFullAdderKindCount - 1, "full-adder kind");
-  request.vectors = reader.u64();
-  request.seed = reader.u64();
-  reader.expect_done();
-  return request;
-}
-
-CharacterizeMultiplierRequest decode_characterize_multiplier(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  CharacterizeMultiplierRequest request;
-  request.structure = checked_enum<MultiplierStructure>(
-      reader.u8(), 1, "multiplier structure");
-  request.width = reader.u32();
-  request.block = checked_enum<arith::Mul2x2Kind>(
-      reader.u8(), arith::kMul2x2KindCount - 1, "mul2x2 kind");
-  request.cell = checked_enum<arith::FullAdderKind>(
-      reader.u8(), arith::kFullAdderKindCount - 1, "full-adder kind");
-  request.approx_lsbs = reader.u32();
-  request.vectors = reader.u64();
-  request.seed = reader.u64();
-  reader.expect_done();
-  return request;
-}
-
-EvaluateErrorRequest decode_evaluate_error(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  EvaluateErrorRequest request;
-  request.target = checked_enum<EvalTarget>(reader.u8(), 1, "eval target");
-  request.gear.n = reader.u32();
-  request.gear.r = reader.u32();
-  request.gear.p = reader.u32();
-  request.correction_iterations = reader.u32();
-  request.mul_width = reader.u32();
-  request.mul_block = checked_enum<arith::Mul2x2Kind>(
-      reader.u8(), arith::kMul2x2KindCount - 1, "mul2x2 kind");
-  request.mul_cell = checked_enum<arith::FullAdderKind>(
-      reader.u8(), arith::kFullAdderKindCount - 1, "full-adder kind");
-  request.mul_approx_lsbs = reader.u32();
-  request.max_exhaustive_bits = reader.u32();
-  request.samples = reader.u64();
-  request.seed = reader.u64();
-  reader.expect_done();
-  return request;
-}
-
-GearDesignSpaceRequest decode_gear_design_space(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  GearDesignSpaceRequest request;
-  request.width = reader.u32();
-  request.min_p = reader.u32();
-  request.include_exact = reader.u8() != 0;
-  request.estimate_power = reader.u8() != 0;
-  request.min_accuracy = reader.f64();
-  reader.expect_done();
-  return request;
-}
-
-HeteroAdderDesignSpaceRequest decode_hetero_adder_design_space(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  HeteroAdderDesignSpaceRequest request;
-  request.width = reader.u32();
-  request.block_width = reader.u32();
-  request.include_truncated = reader.u8() != 0;
-  request.estimate_power = reader.u8() != 0;
-  request.min_accuracy = reader.f64();
-  reader.expect_done();
-  return request;
-}
-
-ArrayMulDesignSpaceRequest decode_array_mul_design_space(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  ArrayMulDesignSpaceRequest request;
-  request.width = reader.u32();
-  request.max_approx_columns = reader.u32();
-  request.estimate_power = reader.u8() != 0;
-  request.min_accuracy = reader.f64();
-  reader.expect_done();
-  return request;
-}
-
-StaticAdderDesignSpaceRequest decode_static_adder_design_space(
-    std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  StaticAdderDesignSpaceRequest request;
-  request.width = reader.u32();
-  request.max_approx_lsbs = reader.u32();
-  request.estimate_power = reader.u8() != 0;
-  request.min_accuracy = reader.f64();
-  reader.expect_done();
-  return request;
-}
-
-EncodeProbeRequest decode_encode_probe(std::span<const std::uint8_t> body) {
-  Reader reader(body);
-  EncodeProbeRequest request;
-  request.width = reader.u16();
-  request.height = reader.u16();
-  request.frames = reader.u16();
-  request.objects = reader.u16();
-  request.sequence_seed = reader.u64();
-  request.sad_variant = reader.u8();
-  request.approx_lsbs = reader.u8();
-  request.block_size = reader.u8();
-  request.search_range = reader.u8();
-  request.quant_step = reader.u16();
-  reader.expect_done();
-  return request;
-}
-
-CacheInsertRequest decode_cache_insert(std::span<const std::uint8_t> body) {
-  if (body.size() < 4) throw DecodeError("truncated cache_insert payload");
-  const std::uint32_t canonical_len =
-      static_cast<std::uint32_t>(body[0]) | (body[1] << 8) |
-      (body[2] << 16) | (static_cast<std::uint32_t>(body[3]) << 24);
-  if (canonical_len > kMaxFrameBytes ||
-      body.size() - 4 < canonical_len) {
-    throw DecodeError("cache_insert canonical length exceeds payload");
-  }
-  CacheInsertRequest request;
-  request.canonical.assign(body.begin() + 4,
-                           body.begin() + 4 + canonical_len);
-  request.response.assign(body.begin() + 4 + canonical_len, body.end());
-  return request;
-}
-
-// --- Response encoders ----------------------------------------------------
-
-Bytes encode_response(const CharacterizeResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_f64(out, response.area_ge);
-  put_f64(out, response.power_nw);
-  put_u64(out, response.gate_count);
-  return out;
-}
-
-Bytes encode_response(const EvaluateErrorResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_u64(out, response.samples);
-  put_u64(out, response.error_count);
-  put_u64(out, response.max_error);
-  put_f64(out, response.error_rate);
-  put_f64(out, response.mean_error_distance);
-  put_f64(out, response.normalized_med);
-  put_f64(out, response.mean_relative_error);
-  put_f64(out, response.mean_squared_error);
-  put_f64(out, response.root_mean_squared_error);
-  put_u8(out, response.exhaustive ? 1 : 0);
-  return out;
-}
-
-Bytes encode_response(const GearDesignSpaceResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_u32(out, static_cast<std::uint32_t>(response.points.size()));
-  for (const GearDesignSpacePoint& point : response.points) {
-    put_u32(out, point.r);
-    put_u32(out, point.p);
-    put_f64(out, point.area_ge);
-    put_f64(out, point.power_nw);
-    put_f64(out, point.accuracy_percent);
-    put_u8(out, point.on_pareto_front ? 1 : 0);
-  }
-  put_u32(out, response.max_accuracy_index);
-  put_u32(out, response.min_area_index);
-  return out;
-}
-
-Bytes encode_response(const HeteroAdderDesignSpaceResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_u32(out, static_cast<std::uint32_t>(response.points.size()));
-  for (const HeteroAdderDesignSpacePoint& point : response.points) {
-    put_u8(out, static_cast<std::uint8_t>(point.low_kind));
-    put_u32(out, point.approx_blocks);
-    put_f64(out, point.area_ge);
-    put_f64(out, point.power_nw);
-    put_f64(out, point.accuracy_percent);
-    put_f64(out, point.error_rate);
-    put_f64(out, point.med);
-    put_f64(out, point.nmed);
-    put_u64(out, point.wce);
-    put_u8(out, point.on_pareto_front ? 1 : 0);
-  }
-  put_u32(out, response.max_accuracy_index);
-  put_u32(out, response.min_area_index);
-  return out;
-}
-
-Bytes encode_response(const ArrayMulDesignSpaceResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_u32(out, static_cast<std::uint32_t>(response.points.size()));
-  for (const ArrayMulDesignSpacePoint& point : response.points) {
-    put_u8(out, static_cast<std::uint8_t>(point.compressor));
-    put_u32(out, point.approx_columns);
-    put_f64(out, point.area_ge);
-    put_f64(out, point.power_nw);
-    put_f64(out, point.accuracy_percent);
-    put_f64(out, point.error_rate_est);
-    put_f64(out, point.med_est);
-    put_f64(out, point.nmed_est);
-    put_u8(out, point.model_exact ? 1 : 0);
-    put_u8(out, point.on_pareto_front ? 1 : 0);
-  }
-  put_u32(out, response.max_accuracy_index);
-  put_u32(out, response.min_area_index);
-  return out;
-}
-
-Bytes encode_response(const StaticAdderDesignSpaceResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_u32(out, static_cast<std::uint32_t>(response.points.size()));
-  for (const StaticAdderDesignSpacePoint& point : response.points) {
-    put_u8(out, static_cast<std::uint8_t>(point.kind));
-    put_u32(out, point.approx_lsbs);
-    put_f64(out, point.area_ge);
-    put_f64(out, point.power_nw);
-    put_f64(out, point.accuracy_percent);
-    put_f64(out, point.error_rate);
-    put_f64(out, point.med);
-    put_f64(out, point.nmed);
-    put_u64(out, point.wce);
-    put_u8(out, point.on_pareto_front ? 1 : 0);
-  }
-  put_u32(out, response.max_accuracy_index);
-  put_u32(out, response.min_area_index);
-  return out;
-}
-
-Bytes encode_response(const EncodeProbeResponse& response) {
-  Bytes out = response_prefix(Status::Ok);
-  put_u64(out, response.total_bits);
-  put_f64(out, response.bits_per_frame);
-  put_f64(out, response.psnr_db);
-  put_u64(out, response.sad_calls);
-  return out;
-}
-
-Bytes encode_ok_response() { return response_prefix(Status::Ok); }
 
 Bytes encode_error_response(Status status, std::string_view message) {
   require(status != Status::Ok,
           "encode_error_response: Ok is not an error status");
-  Bytes out = response_prefix(status);
-  put_string(out, message);
+  Bytes out = wire::response_prefix(status);
+  wire::put_u32(out, static_cast<std::uint32_t>(message.size()));
+  out.insert(out.end(), message.begin(), message.end());
   return out;
 }
 
@@ -590,163 +120,6 @@ void set_response_level(Bytes& response, std::uint8_t level) {
   require(response.size() >= kResponseHeaderBytes,
           "set_response_level: response shorter than a header");
   response[2] = level;
-}
-
-// --- Response decoders ----------------------------------------------------
-
-CharacterizeResponse decode_characterize_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  CharacterizeResponse out;
-  out.area_ge = reader.f64();
-  out.power_nw = reader.f64();
-  out.gate_count = reader.u64();
-  reader.expect_done();
-  return out;
-}
-
-EvaluateErrorResponse decode_evaluate_error_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  EvaluateErrorResponse out;
-  out.samples = reader.u64();
-  out.error_count = reader.u64();
-  out.max_error = reader.u64();
-  out.error_rate = reader.f64();
-  out.mean_error_distance = reader.f64();
-  out.normalized_med = reader.f64();
-  out.mean_relative_error = reader.f64();
-  out.mean_squared_error = reader.f64();
-  out.root_mean_squared_error = reader.f64();
-  out.exhaustive = reader.u8() != 0;
-  reader.expect_done();
-  return out;
-}
-
-GearDesignSpaceResponse decode_gear_design_space_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  GearDesignSpaceResponse out;
-  const std::uint32_t count = reader.u32();
-  out.points.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    GearDesignSpacePoint point;
-    point.r = reader.u32();
-    point.p = reader.u32();
-    point.area_ge = reader.f64();
-    point.power_nw = reader.f64();
-    point.accuracy_percent = reader.f64();
-    point.on_pareto_front = reader.u8() != 0;
-    out.points.push_back(point);
-  }
-  out.max_accuracy_index = reader.u32();
-  out.min_area_index = reader.u32();
-  reader.expect_done();
-  return out;
-}
-
-HeteroAdderDesignSpaceResponse decode_hetero_adder_design_space_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  HeteroAdderDesignSpaceResponse out;
-  const std::uint32_t count = reader.u32();
-  out.points.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    HeteroAdderDesignSpacePoint point;
-    point.low_kind = checked_enum<designspace::HeteroSubAdder>(
-        reader.u8(),
-        static_cast<std::uint8_t>(designspace::HeteroSubAdder::Truncated),
-        "hetero sub-adder kind");
-    point.approx_blocks = reader.u32();
-    point.area_ge = reader.f64();
-    point.power_nw = reader.f64();
-    point.accuracy_percent = reader.f64();
-    point.error_rate = reader.f64();
-    point.med = reader.f64();
-    point.nmed = reader.f64();
-    point.wce = reader.u64();
-    point.on_pareto_front = reader.u8() != 0;
-    out.points.push_back(point);
-  }
-  out.max_accuracy_index = reader.u32();
-  out.min_area_index = reader.u32();
-  reader.expect_done();
-  return out;
-}
-
-ArrayMulDesignSpaceResponse decode_array_mul_design_space_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  ArrayMulDesignSpaceResponse out;
-  const std::uint32_t count = reader.u32();
-  out.points.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ArrayMulDesignSpacePoint point;
-    point.compressor = checked_enum<designspace::CompressorKind>(
-        reader.u8(),
-        static_cast<std::uint8_t>(designspace::CompressorKind::OrPair),
-        "compressor kind");
-    point.approx_columns = reader.u32();
-    point.area_ge = reader.f64();
-    point.power_nw = reader.f64();
-    point.accuracy_percent = reader.f64();
-    point.error_rate_est = reader.f64();
-    point.med_est = reader.f64();
-    point.nmed_est = reader.f64();
-    point.model_exact = reader.u8() != 0;
-    point.on_pareto_front = reader.u8() != 0;
-    out.points.push_back(point);
-  }
-  out.max_accuracy_index = reader.u32();
-  out.min_area_index = reader.u32();
-  reader.expect_done();
-  return out;
-}
-
-StaticAdderDesignSpaceResponse decode_static_adder_design_space_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  StaticAdderDesignSpaceResponse out;
-  const std::uint32_t count = reader.u32();
-  out.points.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    StaticAdderDesignSpacePoint point;
-    point.kind = checked_enum<designspace::StaticAdderKind>(
-        reader.u8(),
-        static_cast<std::uint8_t>(designspace::StaticAdderKind::Heaa),
-        "static adder kind");
-    point.approx_lsbs = reader.u32();
-    point.area_ge = reader.f64();
-    point.power_nw = reader.f64();
-    point.accuracy_percent = reader.f64();
-    point.error_rate = reader.f64();
-    point.med = reader.f64();
-    point.nmed = reader.f64();
-    point.wce = reader.u64();
-    point.on_pareto_front = reader.u8() != 0;
-    out.points.push_back(point);
-  }
-  out.max_accuracy_index = reader.u32();
-  out.min_area_index = reader.u32();
-  reader.expect_done();
-  return out;
-}
-
-EncodeProbeResponse decode_encode_probe_response(
-    std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  EncodeProbeResponse out;
-  out.total_bits = reader.u64();
-  out.bits_per_frame = reader.f64();
-  out.psnr_db = reader.f64();
-  out.sad_calls = reader.u64();
-  reader.expect_done();
-  return out;
-}
-
-void decode_ok_response(std::span<const std::uint8_t> response) {
-  Reader reader(ok_body(response));
-  reader.expect_done();
 }
 
 // --- Canonicalization -----------------------------------------------------
@@ -783,7 +156,7 @@ std::uint64_t canonical_request_key(
 void append_frame(Bytes& out, std::span<const std::uint8_t> payload) {
   require(payload.size() <= kMaxFrameBytes,
           "append_frame: payload exceeds kMaxFrameBytes");
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
 }
 

@@ -146,62 +146,4 @@ std::vector<Bytes> RetryingClient::call_bytes_batch(
   return responses;
 }
 
-CharacterizeResponse RetryingClient::characterize_adder(
-    const CharacterizeAdderRequest& request) {
-  return decode_characterize_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-CharacterizeResponse RetryingClient::characterize_multiplier(
-    const CharacterizeMultiplierRequest& request) {
-  return decode_characterize_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-EvaluateErrorResponse RetryingClient::evaluate_error(
-    const EvaluateErrorRequest& request) {
-  return decode_evaluate_error_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-GearDesignSpaceResponse RetryingClient::gear_design_space(
-    const GearDesignSpaceRequest& request) {
-  return decode_gear_design_space_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-HeteroAdderDesignSpaceResponse RetryingClient::hetero_adder_design_space(
-    const HeteroAdderDesignSpaceRequest& request) {
-  return decode_hetero_adder_design_space_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-ArrayMulDesignSpaceResponse RetryingClient::array_mul_design_space(
-    const ArrayMulDesignSpaceRequest& request) {
-  return decode_array_mul_design_space_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-StaticAdderDesignSpaceResponse RetryingClient::static_adder_design_space(
-    const StaticAdderDesignSpaceRequest& request) {
-  return decode_static_adder_design_space_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-EncodeProbeResponse RetryingClient::encode_probe(
-    const EncodeProbeRequest& request) {
-  return decode_encode_probe_response(
-      call_bytes(encode_request(request, deadline_ms_)));
-}
-
-void RetryingClient::ping() {
-  decode_ok_response(
-      call_bytes(encode_request(Endpoint::Ping, deadline_ms_)));
-}
-
-void RetryingClient::shutdown() {
-  decode_ok_response(
-      call_bytes(encode_request(Endpoint::Shutdown, deadline_ms_)));
-}
-
 }  // namespace axc::service

@@ -59,65 +59,10 @@ Bytes LoopbackConnection::collect(std::uint32_t request_id) {
   return future.get();
 }
 
-Bytes Client::call(const Bytes& request) {
+Bytes Client::call_bytes(const Bytes& request) {
   Bytes response = connection_.roundtrip(request);
   last_served_level_ = response_level(response).value_or(0);
   return response;
-}
-
-CharacterizeResponse Client::characterize_adder(
-    const CharacterizeAdderRequest& request) {
-  return decode_characterize_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-CharacterizeResponse Client::characterize_multiplier(
-    const CharacterizeMultiplierRequest& request) {
-  return decode_characterize_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-EvaluateErrorResponse Client::evaluate_error(
-    const EvaluateErrorRequest& request) {
-  return decode_evaluate_error_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-GearDesignSpaceResponse Client::gear_design_space(
-    const GearDesignSpaceRequest& request) {
-  return decode_gear_design_space_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-HeteroAdderDesignSpaceResponse Client::hetero_adder_design_space(
-    const HeteroAdderDesignSpaceRequest& request) {
-  return decode_hetero_adder_design_space_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-ArrayMulDesignSpaceResponse Client::array_mul_design_space(
-    const ArrayMulDesignSpaceRequest& request) {
-  return decode_array_mul_design_space_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-StaticAdderDesignSpaceResponse Client::static_adder_design_space(
-    const StaticAdderDesignSpaceRequest& request) {
-  return decode_static_adder_design_space_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-EncodeProbeResponse Client::encode_probe(const EncodeProbeRequest& request) {
-  return decode_encode_probe_response(
-      call(encode_request(request, deadline_ms_)));
-}
-
-void Client::ping() {
-  decode_ok_response(call(encode_request(Endpoint::Ping, deadline_ms_)));
-}
-
-void Client::shutdown() {
-  decode_ok_response(call(encode_request(Endpoint::Shutdown, deadline_ms_)));
 }
 
 std::uint32_t Client::submit_bytes(const Bytes& request) {
@@ -128,52 +73,6 @@ Bytes Client::collect_bytes(std::uint32_t request_id) {
   Bytes response = connection_.collect(request_id);
   last_served_level_ = response_level(response).value_or(0);
   return response;
-}
-
-std::uint32_t Client::submit(const CharacterizeAdderRequest& request) {
-  return submit_bytes(encode_request(request, deadline_ms_));
-}
-
-std::uint32_t Client::submit(const CharacterizeMultiplierRequest& request) {
-  return submit_bytes(encode_request(request, deadline_ms_));
-}
-
-std::uint32_t Client::submit(const EvaluateErrorRequest& request) {
-  return submit_bytes(encode_request(request, deadline_ms_));
-}
-
-std::uint32_t Client::submit(const GearDesignSpaceRequest& request) {
-  return submit_bytes(encode_request(request, deadline_ms_));
-}
-
-std::uint32_t Client::submit(const EncodeProbeRequest& request) {
-  return submit_bytes(encode_request(request, deadline_ms_));
-}
-
-std::uint32_t Client::submit_ping() {
-  return submit_bytes(encode_request(Endpoint::Ping, deadline_ms_));
-}
-
-CharacterizeResponse Client::collect_characterize(std::uint32_t request_id) {
-  return decode_characterize_response(collect_bytes(request_id));
-}
-
-EvaluateErrorResponse Client::collect_evaluate_error(
-    std::uint32_t request_id) {
-  return decode_evaluate_error_response(collect_bytes(request_id));
-}
-
-GearDesignSpaceResponse Client::collect_gear_design_space(
-    std::uint32_t request_id) {
-  return decode_gear_design_space_response(collect_bytes(request_id));
-}
-
-EncodeProbeResponse Client::collect_encode_probe(std::uint32_t request_id) {
-  return decode_encode_probe_response(collect_bytes(request_id));
-}
-
-void Client::collect_ping(std::uint32_t request_id) {
-  decode_ok_response(collect_bytes(request_id));
 }
 
 }  // namespace axc::service

@@ -321,12 +321,12 @@ TEST(Cluster, DesignSpaceEndpointsReplicateAndSurviveNodeKill) {
   }
 
   // Typed calls decode the same wire bytes the sweep produced.
-  const auto typed = client.hetero_adder_design_space(hetero);
+  const auto typed = client.call(hetero);
   EXPECT_EQ(typed.points.size(),
             service::decode_hetero_adder_design_space_response(cold[0])
                 .points.size());
-  EXPECT_GT(client.array_mul_design_space(mul).points.size(), 0u);
-  EXPECT_GT(client.static_adder_design_space(stat).points.size(), 0u);
+  EXPECT_GT(client.call(mul).points.size(), 0u);
+  EXPECT_GT(client.call(stat).points.size(), 0u);
 
   // Kill the owner of the hetero request: the replica serves the cached
   // bytes — a routing hop, not a recompute.
@@ -346,7 +346,7 @@ TEST(Cluster, TypedCallsRouteAndDecodeLikeARetryingClient) {
   LocalCluster cluster(options);
   ClusterClient client = cluster.make_client(quiet_client());
 
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(service::PingRequest{}));
 
   service::CharacterizeAdderRequest adder;
   adder.width = 8;
@@ -354,13 +354,13 @@ TEST(Cluster, TypedCallsRouteAndDecodeLikeARetryingClient) {
   adder.param_b = 2;
   adder.vectors = 64;
   const service::CharacterizeResponse typed =
-      client.characterize_adder(adder);
+      client.call(adder);
   EXPECT_GT(typed.gate_count, 0u);
   EXPECT_EQ(client.last_served_level(), 0);
 
   service::EvaluateErrorRequest eval;
   eval.gear = {8, 2, 2};
-  const service::EvaluateErrorResponse error = client.evaluate_error(eval);
+  const service::EvaluateErrorResponse error = client.call(eval);
   EXPECT_GT(error.samples, 0u);
   EXPECT_EQ(client.retries(), 0u);
 }

@@ -41,7 +41,7 @@ TEST_F(DesignspaceEndpointsTest, HeteroEndpointMatchesLibrarySweep) {
   req.block_width = 4;
   req.include_truncated = true;
   const HeteroAdderDesignSpaceResponse got =
-      client.hetero_adder_design_space(req);
+      client.call(req);
 
   const auto want = designspace::explore_hetero_space(12, 4, true);
   ASSERT_EQ(got.points.size(), want.size());
@@ -69,7 +69,7 @@ TEST_F(DesignspaceEndpointsTest, ArrayMulEndpointMatchesLibrarySweep) {
   ArrayMulDesignSpaceRequest req;
   req.width = 6;
   req.max_approx_columns = 6;
-  const ArrayMulDesignSpaceResponse got = client.array_mul_design_space(req);
+  const ArrayMulDesignSpaceResponse got = client.call(req);
 
   const auto want = designspace::explore_compressor_mul_space(6, 6);
   ASSERT_EQ(got.points.size(), want.size());
@@ -94,7 +94,7 @@ TEST_F(DesignspaceEndpointsTest, StaticAdderEndpointMatchesLibrarySweep) {
   req.width = 10;
   req.max_approx_lsbs = 4;
   const StaticAdderDesignSpaceResponse got =
-      client.static_adder_design_space(req);
+      client.call(req);
 
   const auto want = designspace::explore_static_adder_space(10, 4);
   ASSERT_EQ(got.points.size(), want.size());

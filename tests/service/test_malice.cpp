@@ -133,7 +133,7 @@ std::vector<std::uint8_t> frame(const Bytes& payload) {
 void expect_server_still_serves(TcpServer& tcp) {
   TcpConnection connection("127.0.0.1", tcp.port());
   Client client(connection);
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
 }
 
 TEST_F(MaliceTest, OversizedLengthPrefixDropsOnlyThatConnection) {

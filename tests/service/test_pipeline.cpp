@@ -97,19 +97,19 @@ TEST(Pipeline, TypedClientSubmitCollectMatchesSerialCalls) {
   EvaluateErrorRequest eval;
   eval.gear = {8, 2, 2};
 
-  const std::uint32_t ping_id = pipelined.submit_ping();
+  const std::uint32_t ping_id = pipelined.submit(PingRequest{});
   const std::uint32_t adder_id = pipelined.submit(adder);
   const std::uint32_t eval_id = pipelined.submit(eval);
 
   // Collect out of submission order.
   const EvaluateErrorResponse eval_piped =
-      pipelined.collect_evaluate_error(eval_id);
+      pipelined.collect<EvaluateErrorResponse>(eval_id);
   const CharacterizeResponse adder_piped =
-      pipelined.collect_characterize(adder_id);
-  EXPECT_NO_THROW(pipelined.collect_ping(ping_id));
+      pipelined.collect<CharacterizeResponse>(adder_id);
+  EXPECT_NO_THROW(pipelined.collect<OkResponse>(ping_id));
 
-  const CharacterizeResponse adder_serial = serial.characterize_adder(adder);
-  const EvaluateErrorResponse eval_serial = serial.evaluate_error(eval);
+  const CharacterizeResponse adder_serial = serial.call(adder);
+  const EvaluateErrorResponse eval_serial = serial.call(eval);
   EXPECT_EQ(adder_piped.gate_count, adder_serial.gate_count);
   EXPECT_EQ(adder_piped.area_ge, adder_serial.area_ge);
   EXPECT_EQ(eval_piped.exhaustive, eval_serial.exhaustive);

@@ -200,21 +200,22 @@ TEST(Reactor, LegacyClientAllEndpointsRoundTrip) {
   TcpConnection connection("127.0.0.1", reactor.port());
   Client client(connection);
 
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
   const CharacterizeResponse adder =
-      client.characterize_adder({.width = 8, .param_a = 2, .param_b = 2});
+      client.call(
+          CharacterizeAdderRequest{.width = 8, .param_a = 2, .param_b = 2});
   EXPECT_GT(adder.area_ge, 0.0);
   EvaluateErrorRequest eval;
   eval.gear = {8, 2, 2};
-  EXPECT_TRUE(client.evaluate_error(eval).exhaustive);
+  EXPECT_TRUE(client.call(eval).exhaustive);
   GearDesignSpaceRequest space;
   space.width = 8;
-  EXPECT_FALSE(client.gear_design_space(space).points.empty());
+  EXPECT_FALSE(client.call(space).points.empty());
   EncodeProbeRequest probe;
   probe.width = 32;
   probe.height = 32;
   probe.frames = 2;
-  EXPECT_GT(client.encode_probe(probe).total_bits, 0u);
+  EXPECT_GT(client.call(probe).total_bits, 0u);
 
   reactor.stop();
   EXPECT_TRUE(reactor.stopped());
@@ -400,7 +401,7 @@ TEST(Reactor, HoldsManyIdleConnectionsWithOneThread) {
 
   // The parked crowd must not starve a live request.
   Client client(*held.front());
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
 
   held.clear();  // orderly EOFs
   reactor.stop();
@@ -414,13 +415,13 @@ TEST(Reactor, RemoteShutdownRejectedUnlessEnabled) {
   Client client(connection);
 
   try {
-    client.shutdown();
+    client.call(ShutdownRequest{});
     FAIL() << "expected ServiceError";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.status(), Status::BadRequest);
   }
   EXPECT_FALSE(reactor.stopped());
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
 
   reactor.stop();
   server.stop();
@@ -432,8 +433,8 @@ TEST(Reactor, RemoteShutdownDrainsWhenEnabled) {
   {
     TcpConnection connection("127.0.0.1", reactor.port());
     Client client(connection);
-    EXPECT_NO_THROW(client.ping());
-    EXPECT_NO_THROW(client.shutdown());  // acknowledged before the stop
+    EXPECT_NO_THROW(client.call(PingRequest{}));
+    EXPECT_NO_THROW(client.call(ShutdownRequest{}));  // acknowledged before the stop
   }
   reactor.wait();
   EXPECT_TRUE(reactor.stopped());
@@ -463,7 +464,7 @@ TEST(Reactor, OversizedFrameDropsOnlyThatConnection) {
   // The server is unharmed for everyone else.
   TcpConnection connection("127.0.0.1", reactor.port());
   Client client(connection);
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
 
   reactor.stop();
   server.stop();

@@ -90,7 +90,7 @@ TEST_F(RetryTest, SucceedsAfterTransportFailuresAndCountsBackoff) {
   RetryingClient client(
       [&] { return std::make_unique<FlakyConnection>(inner, state); }, policy);
 
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
   EXPECT_EQ(client.retries(), 2u);
   EXPECT_EQ(client.reconnects(), 2u);  // each failed stream was dropped
   ASSERT_EQ(slept.size(), 2u);
@@ -122,7 +122,7 @@ TEST_F(RetryTest, BackoffScheduleIsDeterministicPerSeed) {
     RetryingClient client(
         [&] { return std::make_unique<FlakyConnection>(inner, state); },
         policy);
-    client.ping();
+    client.call(PingRequest{});
     return slept;
   };
 
@@ -150,7 +150,7 @@ TEST_F(RetryTest, ExhaustedAttemptsSurfaceTheLastTransportError) {
       [&] { return std::make_unique<FlakyConnection>(inner, state); }, policy);
 
   try {
-    client.ping();
+    client.call(PingRequest{});
     FAIL() << "exhausted retries must rethrow";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.kind(), TransportError::Kind::Timeout);
@@ -173,7 +173,7 @@ TEST_F(RetryTest, FactoryFailuresCountAsAttempts) {
       },
       policy);
 
-  EXPECT_THROW(client.ping(), TransportError);
+  EXPECT_THROW(client.call(PingRequest{}), TransportError);
   EXPECT_EQ(factory_calls, 3);
 }
 
@@ -196,7 +196,7 @@ TEST_F(RetryTest, OverloadedIsRetriedOnTheSameConnection) {
       },
       policy);
 
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
   EXPECT_EQ(scripted->calls(), 3u);
   EXPECT_EQ(client.retries(), 2u);
   EXPECT_EQ(client.reconnects(), 0u);
@@ -215,7 +215,7 @@ TEST_F(RetryTest, OverloadedSurfacesWhenRetryDisabled) {
       policy);
 
   try {
-    client.ping();
+    client.call(PingRequest{});
     FAIL() << "Overloaded must surface as ServiceError";
   } catch (const ServiceError& error) {
     EXPECT_EQ(error.status(), Status::Overloaded);
@@ -232,7 +232,7 @@ TEST_F(RetryTest, BadRequestIsNotRetriedByDefault) {
   RetryingClient client(
       [&] { return std::make_unique<ScriptedConnection>(script); }, policy);
 
-  EXPECT_THROW(client.ping(), ServiceError);
+  EXPECT_THROW(client.call(PingRequest{}), ServiceError);
   EXPECT_EQ(client.retries(), 0u);
 
   // Chaos harnesses that corrupt requests in flight opt in.
@@ -240,7 +240,7 @@ TEST_F(RetryTest, BadRequestIsNotRetriedByDefault) {
   lenient.retry_bad_request = true;
   RetryingClient forgiving(
       [&] { return std::make_unique<ScriptedConnection>(script); }, lenient);
-  EXPECT_NO_THROW(forgiving.ping());
+  EXPECT_NO_THROW(forgiving.call(PingRequest{}));
   EXPECT_EQ(forgiving.retries(), 1u);
 }
 
@@ -266,7 +266,7 @@ TEST_F(RetryTest, UnparseableResponseIsTreatedAsCorruptTransport) {
   RetryingClient client([&] { return std::make_unique<Delegate>(shared); },
                         policy);
 
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
   EXPECT_EQ(client.retries(), 1u);
   EXPECT_EQ(client.reconnects(), 1u);  // corrupt frame killed the stream
   EXPECT_EQ(shared->calls(), 2u);
@@ -316,11 +316,11 @@ TEST_F(RetryTest, ChaosRoundTripEndToEndWithZeroClientVisibleFailures) {
 
   // Mixed workload: every call must succeed despite the fault schedule.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_NO_THROW(client.ping()) << "call " << i;
+    EXPECT_NO_THROW(client.call(PingRequest{})) << "call " << i;
   }
   CharacterizeAdderRequest characterize;
   characterize.vectors = 128;
-  EXPECT_NO_THROW((void)client.characterize_adder(characterize));
+  EXPECT_NO_THROW((void)client.call(characterize));
 
   EXPECT_GT(total_faults, 0u) << "the schedule must actually inject faults";
   EXPECT_GT(client.retries(), 0u);

@@ -27,30 +27,31 @@ TEST(Tcp, AllEndpointsRoundTripOverSockets) {
   TcpConnection connection("127.0.0.1", tcp.port());
   Client client(connection);
 
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
 
   const CharacterizeResponse adder =
-      client.characterize_adder({.width = 8, .param_a = 2, .param_b = 2});
+      client.call(
+          CharacterizeAdderRequest{.width = 8, .param_a = 2, .param_b = 2});
   EXPECT_GT(adder.area_ge, 0.0);
 
-  const CharacterizeResponse mul = client.characterize_multiplier(
-      {.width = 4, .block = arith::Mul2x2Kind::SoA, .vectors = 128});
+  const CharacterizeResponse mul = client.call(CharacterizeMultiplierRequest{
+      .width = 4, .block = arith::Mul2x2Kind::SoA, .vectors = 128});
   EXPECT_GT(mul.gate_count, 0u);
 
   EvaluateErrorRequest eval;
   eval.gear = {8, 2, 2};
-  const EvaluateErrorResponse stats = client.evaluate_error(eval);
+  const EvaluateErrorResponse stats = client.call(eval);
   EXPECT_TRUE(stats.exhaustive);
 
   GearDesignSpaceRequest space;
   space.width = 8;
-  EXPECT_FALSE(client.gear_design_space(space).points.empty());
+  EXPECT_FALSE(client.call(space).points.empty());
 
   EncodeProbeRequest probe;
   probe.width = 32;
   probe.height = 32;
   probe.frames = 2;
-  EXPECT_GT(client.encode_probe(probe).total_bits, 0u);
+  EXPECT_GT(client.call(probe).total_bits, 0u);
 
   tcp.stop();
   EXPECT_TRUE(tcp.stopped());
@@ -81,14 +82,14 @@ TEST(Tcp, RemoteShutdownIsRejectedUnlessEnabled) {
   Client client(connection);
 
   try {
-    client.shutdown();
+    client.call(ShutdownRequest{});
     FAIL() << "expected ServiceError";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.status(), Status::BadRequest);
   }
   // The refusal must not have stopped the transport.
   EXPECT_FALSE(tcp.stopped());
-  EXPECT_NO_THROW(client.ping());
+  EXPECT_NO_THROW(client.call(PingRequest{}));
 
   tcp.stop();
   server.stop();
@@ -101,8 +102,8 @@ TEST(Tcp, RemoteShutdownDrainsWhenEnabled) {
   {
     TcpConnection connection("127.0.0.1", tcp.port());
     Client client(connection);
-    EXPECT_NO_THROW(client.ping());
-    EXPECT_NO_THROW(client.shutdown());  // acknowledged before the stop
+    EXPECT_NO_THROW(client.call(PingRequest{}));
+    EXPECT_NO_THROW(client.call(ShutdownRequest{}));  // acknowledged before the stop
   }
   tcp.wait();
   EXPECT_TRUE(tcp.stopped());
@@ -126,7 +127,7 @@ TEST(Tcp, ConcurrentConnectionsEachGetTheirOwnAnswers) {
         req.param_a = static_cast<std::uint32_t>(t + 1);
         req.vectors = 64;
         gates[static_cast<std::size_t>(t)] =
-            client.characterize_adder(req).gate_count;
+            client.call(req).gate_count;
       }
     });
   }
@@ -150,7 +151,7 @@ TEST(Tcp, IdleAcceptorTakesZeroWakeups) {
   {
     TcpConnection connection("127.0.0.1", tcp.port());
     Client client(connection);
-    client.ping();  // prove the acceptor is alive first
+    client.call(PingRequest{});  // prove the acceptor is alive first
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const std::uint64_t wakeups_before =
