@@ -202,11 +202,18 @@ runr() { echo "+ axc_client --ring $*"; "$client" --ring "$workdir/ring.txt" "$@
 
 runr ping | grep -q pong
 # Distinct seeds spread the keys over the ring; record the answers so the
-# post-kill re-run can be compared byte for byte.
-for s in 1 2 3 4; do
+# post-kill re-run can be compared byte for byte. Each seed also sends one
+# design-space query (distinct accuracy floors, distinct keys), so the
+# cache_insert_rejects check below covers their replication too.
+ring_queries() {
   runr characterize-adder --family gear --width 8 --param-a 2 --param-b 2 \
-    --vectors 64 --seed "$s" >"$workdir/ring_answer$s"
+    --vectors 64 --seed "$1"
+  runr hetero-adder-design-space --width 8 --min-accuracy "$((80 + $1))"
+}
+for s in 1 2 3 4; do
+  ring_queries "$s" >"$workdir/ring_answer$s"
   grep -q area_ge= "$workdir/ring_answer$s"
+  grep -q max_accuracy_index= "$workdir/ring_answer$s"
 done
 
 # kill -9 (not graceful drain): the node's in-memory cache dies with it.
@@ -216,8 +223,7 @@ wait "$victim" 2>/dev/null || true
 echo "killed ring node 1 (pid $victim)"
 
 for s in 1 2 3 4; do
-  runr characterize-adder --family gear --width 8 --param-a 2 --param-b 2 \
-    --vectors 64 --seed "$s" >"$workdir/ring_after$s" 2>"$workdir/ring_note$s"
+  ring_queries "$s" >"$workdir/ring_after$s" 2>"$workdir/ring_note$s"
   cmp -s "$workdir/ring_answer$s" "$workdir/ring_after$s" || {
     echo "ring answer for seed $s changed after the node kill:"
     diff "$workdir/ring_answer$s" "$workdir/ring_after$s"; exit 1; }

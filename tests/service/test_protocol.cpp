@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "axc/service/endpoints.hpp"
 
 namespace axc::service {
 namespace {
@@ -365,6 +371,106 @@ TEST(Protocol, CacheInsertDecodeRejectsTruncationAndOverflow) {
   lying[2] = 0xFF;
   lying[3] = 0x7F;  // canonical_len = 2 GiB
   EXPECT_THROW(decode_cache_insert(lying), DecodeError);
+}
+
+// A list count read off the wire must be bounded by the bytes that
+// follow it, before anything is allocated for it.
+TEST(Protocol, ListCountBeyondPayloadIsDecodeError) {
+  const Bytes lying = {kProtocolVersion, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_THROW(decode_gear_design_space_response(lying), DecodeError);
+  EXPECT_THROW(decode_hetero_adder_design_space_response(lying), DecodeError);
+  EXPECT_THROW(decode_array_mul_design_space_response(lying), DecodeError);
+  EXPECT_THROW(decode_static_adder_design_space_response(lying), DecodeError);
+
+  // One point fewer than announced is still caught.
+  GearDesignSpaceResponse two;
+  two.points.resize(2);
+  Bytes short_list = encode_response(two);
+  short_list[kResponseHeaderBytes] = 3;
+  EXPECT_THROW(decode_gear_design_space_response(short_list), DecodeError);
+}
+
+std::vector<Bytes> golden_requests() {
+  std::vector<Bytes> requests;
+  for_each_endpoint([&](auto spec) {
+    std::ifstream in(std::string(AXC_GOLDEN_DIR) + "/" +
+                     std::string(decltype(spec)::name) + ".hex");
+    std::string key;
+    std::string hex;
+    in >> key >> hex;
+    Bytes request;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+      request.push_back(static_cast<std::uint8_t>(
+          std::stoul(hex.substr(i, 2), nullptr, 16)));
+    }
+    requests.push_back(request);
+  });
+  return requests;
+}
+
+/// Decodes a request with its endpoint's typed decoder and encodes it
+/// again; throws DecodeError when the body does not decode.
+Bytes reencode(const Bytes& request) {
+  const auto header = parse_request_header(request);
+  if (!header) throw DecodeError("bad header");
+  const auto body =
+      std::span<const std::uint8_t>(request).subspan(kRequestHeaderBytes);
+  Bytes out;
+  visit_endpoint(header->endpoint, [&](auto spec) {
+    using Request = typename decltype(spec)::Request;
+    out = encode_request(decode_body<Request>(body), header->deadline_ms);
+  });
+  return out;
+}
+
+// Strict decode gives every query exactly one byte representation (and so
+// one cache key): any single-bit body mutation that still decodes must
+// re-encode to exactly the mutated bytes.
+TEST(Protocol, EveryAcceptedMutationReencodesToItself) {
+  const std::vector<Bytes> requests = golden_requests();
+  ASSERT_EQ(requests.size(), std::tuple_size_v<EndpointTable>);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const Bytes& request : requests) {
+    ASSERT_EQ(reencode(request), request);
+    for (std::size_t i = kRequestHeaderBytes; i < request.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes mutated = request;
+        mutated[i] = static_cast<std::uint8_t>(mutated[i] ^ (1u << bit));
+        try {
+          EXPECT_EQ(reencode(mutated), mutated)
+              << endpoint_name(parse_request_header(request)->endpoint)
+              << " byte " << i << " bit " << bit;
+          ++accepted;
+        } catch (const DecodeError&) {
+          ++rejected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(Protocol, BoolByteOtherThanZeroOrOneIsBadRequest) {
+  GearDesignSpaceRequest gear;
+  gear.width = 6;
+  Bytes wire = encode_request(gear);
+  const std::size_t include_exact = kRequestHeaderBytes + 8;
+  ASSERT_EQ(wire[include_exact], 0u);
+  wire[include_exact] = 2;
+  EXPECT_THROW(
+      decode_gear_design_space(
+          std::span<const std::uint8_t>(wire).subspan(kRequestHeaderBytes)),
+      DecodeError);
+  const Bytes response = dispatch(wire);
+  EXPECT_EQ(response_status(response), Status::BadRequest);
+  try {
+    decode_ok_response(response);
+    FAIL() << "expected ServiceError";
+  } catch (const ServiceError& e) {
+    EXPECT_STREQ(e.what(), "bad_request: invalid include_exact value 2");
+  }
 }
 
 }  // namespace
