@@ -1,7 +1,10 @@
 /// \file endpoints.hpp
 /// The request executor: parses one canonical request, runs it against the
 /// axc library layers (logic characterization, error evaluation, core
-/// explorer, video encoder) and serializes the response.
+/// explorer, designspace sweeps, video encoder) and serializes the
+/// response. Which handler runs, and which types it decodes and encodes,
+/// comes from the endpoint's EndpointTable row (protocol.hpp); each
+/// handler is one `handle` overload in endpoints.cpp.
 ///
 /// dispatch() is deliberately a free function independent of the Server:
 /// the worker pool calls it per job, tests call it directly, and custom
