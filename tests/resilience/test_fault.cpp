@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "axc/accel/sad.hpp"
+#include "axc/accel/sad_netlist.hpp"
 #include "axc/common/rng.hpp"
 #include "axc/logic/adder_netlists.hpp"
+#include "axc/logic/mul_netlists.hpp"
 #include "axc/logic/simulator.hpp"
 
 namespace axc::resilience {
@@ -102,6 +105,89 @@ TEST(FaultySimulator, SeededRunsAreDeterministic) {
     const std::uint64_t word = rng.bits(13);
     ASSERT_EQ(lhs.apply_word(word), rhs.apply_word(word)) << i;
   }
+}
+
+// Golden campaigns: seeded FaultySimulator runs over three netlists, two
+// fault rates and a 64/17/1/64 lane pattern, pinned as an FNV-1a digest
+// of every output word plus the injected-fault count. The constants were
+// generated once and must never move: any change to the RNG draw order,
+// the gate evaluation or the lane handling of the fault path shows here.
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv_word(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xFFu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+struct CampaignGolden {
+  std::uint64_t digest;
+  std::uint64_t faults;
+};
+
+CampaignGolden run_campaign(const logic::Netlist& netlist, double p) {
+  FaultySimulator sim(netlist, {p, 2024});
+  Rng stimulus(77);
+  std::vector<std::uint64_t> words(netlist.inputs().size());
+  std::uint64_t digest = kFnvOffset;
+  for (const unsigned lanes : {64u, 17u, 1u, 64u}) {
+    for (auto& word : words) word = stimulus();
+    for (const std::uint64_t out : sim.apply_lanes(words, lanes)) {
+      digest = fnv_word(digest, out);
+    }
+  }
+  return {digest, sim.faults_injected()};
+}
+
+logic::Netlist golden_ripple() {
+  std::vector<arith::FullAdderKind> cells(8, arith::FullAdderKind::Accurate);
+  std::fill(cells.begin(), cells.begin() + 3, arith::FullAdderKind::Apx3);
+  return logic::ripple_adder_netlist(cells);
+}
+
+void expect_golden(const logic::Netlist& netlist, double p,
+                   CampaignGolden golden) {
+  const CampaignGolden got = run_campaign(netlist, p);
+  EXPECT_EQ(got.digest, golden.digest) << netlist.name() << " p=" << p;
+  EXPECT_EQ(got.faults, golden.faults) << netlist.name() << " p=" << p;
+}
+
+TEST(FaultGolden, RippleAdderCampaignsAreBitExact) {
+  const logic::Netlist netlist = golden_ripple();
+  expect_golden(netlist, 0.01, {0xbd05b6eadb50f745ULL, 31});
+  expect_golden(netlist, 0.5, {0xdab2aeeae591df4fULL, 1542});
+}
+
+TEST(FaultGolden, WallaceCampaignsAreBitExact) {
+  const logic::Netlist netlist =
+      logic::wallace_netlist(8, arith::FullAdderKind::Accurate, 0);
+  expect_golden(netlist, 0.01, {0x1f90be7933de7df7ULL, 421});
+  expect_golden(netlist, 0.5, {0x12ada5efb2f61d8fULL, 20115});
+}
+
+TEST(FaultGolden, SadNetlistCampaignsAreBitExact) {
+  const logic::Netlist netlist = accel::sad_netlist(accel::accu_sad(64));
+  expect_golden(netlist, 0.01, {0x5d75d300c68f44d9ULL, 9431});
+  expect_golden(netlist, 0.5, {0x61264a501a3c0a0dULL, 459978});
+}
+
+TEST(FaultGolden, FaultyNetlistSadWindowIsBitExact) {
+  // One 9x9 full-search window: 81 candidates = a 64-lane pass plus a
+  // 17-lane remainder.
+  const FaultyNetlistSad sad(accel::apx_sad_variant(3, 4, 64), {0.01, 606});
+  Rng pixels(88);
+  std::vector<std::uint8_t> current(64);
+  std::vector<std::uint8_t> candidates(81 * 64);
+  for (auto& px : current) px = static_cast<std::uint8_t>(pixels.bits(8));
+  for (auto& px : candidates) px = static_cast<std::uint8_t>(pixels.bits(8));
+  std::vector<std::uint64_t> out(81);
+  sad.sad_batch(current, candidates, out);
+  std::uint64_t digest = kFnvOffset;
+  for (const std::uint64_t value : out) digest = fnv_word(digest, value);
+  EXPECT_EQ(digest, 0x82be9622b28bba0cULL);
+  EXPECT_EQ(sad.faults_injected(), 4541u);
 }
 
 accel::Datapath small_sad_datapath() {
