@@ -38,7 +38,7 @@ SadHardwareReport characterize_sad(const SadConfig& config,
 /// current block is broadcast across lanes), which is where the full-search
 /// motion-estimation speedup comes from. Lane packing keeps the activity
 /// accounting exact per lane: candidate k's toggles are counted against the
-/// previous vector lane k held (see bitsliced.hpp).
+/// previous vector lane k held (see tape_engine.hpp).
 ///
 /// The simulator state is mutable, so a NetlistSad is NOT safe for
 /// concurrent use (is_concurrent_safe() = false); the block-parallel
@@ -46,10 +46,6 @@ SadHardwareReport characterize_sad(const SadConfig& config,
 class NetlistSad final : public SadUnit {
  public:
   explicit NetlistSad(const SadConfig& config);
-
-  /// Pins the simulation engine (A/B benches; the default ctor follows
-  /// logic::default_sim_engine()).
-  NetlistSad(const SadConfig& config, logic::SimEngine engine);
 
   const SadConfig& config() const { return config_; }
 

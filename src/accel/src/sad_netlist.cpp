@@ -150,12 +150,7 @@ SadHardwareReport characterize_sad(const SadConfig& config,
 }
 
 NetlistSad::NetlistSad(const SadConfig& config)
-    : NetlistSad(config, logic::default_sim_engine()) {}
-
-NetlistSad::NetlistSad(const SadConfig& config, logic::SimEngine engine)
-    : config_(config),
-      netlist_(sad_netlist(config)),
-      sim_(netlist_, engine) {}
+    : config_(config), netlist_(sad_netlist(config)), sim_(netlist_) {}
 
 void NetlistSad::apply_chunk(std::span<const std::uint8_t> a,
                              std::span<const std::uint8_t> candidates,

@@ -1,72 +1,46 @@
 /// \file bitsliced.hpp
-/// 64-lane bitsliced (SWAR) netlist simulation.
+/// The observable 64-lane netlist simulator.
 ///
 /// Every net holds a std::uint64_t word whose bit k is lane k's logic
-/// value, so a single pass over the (topologically ordered) gate list
-/// evaluates 64 stimulus vectors at once using nothing but bitwise ops
-/// (eval_cell_word). Toggle counting stays exact: per gate, the toggles of
-/// one step are popcount(old_word ^ new_word) restricted to the active
-/// lanes, i.e. each lane carries its own independent stimulus stream and
-/// contributes its own transitions. Simulating L lanes for T steps is
-/// therefore bit-identical — outputs, per-gate toggle counts and
-/// switched_energy_fj() — to running L scalar Simulators, lane k fed the
-/// bit-k stream (asserted by tests/logic/test_bitsliced.cpp).
+/// value, so one pass over the compiled tape (tape.hpp, tape_engine.hpp)
+/// evaluates 64 stimulus vectors at once using nothing but bitwise ops.
+/// Toggle counting stays exact: per gate, the toggles of one step are
+/// popcount(old_word ^ new_word) restricted to the active lanes, i.e. each
+/// lane carries its own independent stimulus stream and contributes its
+/// own transitions. Simulating L lanes for T steps is therefore
+/// bit-identical — outputs, per-gate toggle counts and
+/// switched_energy_fj() — to running L scalar reference Simulators
+/// (simulator.hpp), lane k fed the bit-k stream (asserted by
+/// tests/logic/test_bitsliced.cpp).
 ///
-/// The scalar Simulator in simulator.hpp is a thin 1-lane wrapper around
-/// this class.
-///
-/// Since PR 7 this class is a facade over two engines selected at
-/// construction (default: AXC_ENGINE / default_sim_engine()): the original
-/// per-gate interpreter loop, and the compiled straight-line tape
-/// (tape.hpp / tape_engine.hpp) which eliminates per-cell dispatch. Both
-/// engines produce byte-identical observable state — outputs, toggles,
-/// transition pairs, switched energy — so every consumer picks up the
-/// compiled engine with no call-site changes.
+/// BitslicedSimulator is TapeSimulator<std::uint64_t> plus the two obs
+/// instruments every pass records: logic.sim.passes and
+/// logic.sim.lane_occupancy. It is the entry point the characterization,
+/// power and SAD layers use.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "axc/logic/netlist.hpp"
-#include "axc/logic/tape.hpp"
+#include "axc/logic/tape_engine.hpp"
 
 namespace axc::logic {
 
-/// Packs counting stimulus into lane words: lane k of the result carries
-/// the bits of input word `base + k`. words[i] receives the lane-packed
-/// value of primary input i (for i < num_inputs <= 64). Only the low
-/// \p lanes lanes are meaningful. When base is 64-aligned and all 64 lanes
-/// are requested this is six constant patterns plus sign fills — the
-/// standard SWAR enumeration trick.
-void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
-                         unsigned lanes, std::span<std::uint64_t> words);
-
 /// Evaluates a Netlist over 64 stimulus lanes per pass and accumulates
-/// per-gate toggle counts, exactly like Simulator but one word at a time.
-///
-/// Lane discipline: the active lane count may vary freely between calls.
-/// Each lane's first active vector within an activity window (construction
-/// or reset_activity() to the next reset) is a per-lane baseline — it
-/// establishes state without counting transitions; later vectors of that
-/// lane count toggles against the last value the lane actually held. Lanes
-/// outside the active set keep stale state and are excluded from toggle
-/// accounting, so shrink/grow patterns (e.g. a partial remainder batch
-/// followed by a full one, as the batched SAD path produces) stay exact.
-class BitslicedSimulator {
+/// per-gate toggle counts; the lane discipline (per-lane baselines, masked
+/// stimulus merge for partial-lane passes) is TapeSimulator's.
+class BitslicedSimulator : private TapeSimulator<std::uint64_t> {
+  using Engine = TapeSimulator<std::uint64_t>;
+
  public:
   /// Lanes per simulation word.
-  static constexpr unsigned kLanes = 64;
+  static constexpr unsigned kLanes = Engine::kLanes;
 
-  explicit BitslicedSimulator(const Netlist& netlist,
-                              SimEngine engine = default_sim_engine());
+  explicit BitslicedSimulator(const Netlist& netlist)
+      : Engine(netlist), netlist_(netlist) {}
 
-  /// Applies one packed stimulus word per primary input (input_words[i]
-  /// bit k = lane k's value of input i, in the order of Netlist::inputs())
-  /// and returns one packed word per primary output (bit k = lane k's
-  /// value). The returned span aliases internal storage and is valid until
-  /// the next apply call. Only the low \p lanes lanes are meaningful.
+  /// TapeSimulator::apply_lanes, counted as one pass.
   std::span<const std::uint64_t> apply_lanes(
       std::span<const std::uint64_t> input_words, unsigned lanes = kLanes);
 
@@ -78,50 +52,32 @@ class BitslicedSimulator {
 
   /// The packed output word of one lane of the most recent apply call
   /// (bit j = output j, as Simulator::apply_word). Requires <= 64 outputs.
-  std::uint64_t lane_output(unsigned lane) const;
+  using Engine::lane_output;
 
   /// Total lane-vectors applied since construction / reset_activity().
-  std::uint64_t vectors_applied() const { return vectors_applied_; }
+  using Engine::vectors_applied;
 
   /// Number of (vector, predecessor) pairs that contributed to toggle
   /// accounting — vectors_applied() minus one baseline vector per lane
   /// ever active in this window. This is the denominator for
   /// energy-per-vector power estimates.
-  std::uint64_t transition_pairs() const { return transition_pairs_; }
+  using Engine::transition_pairs;
 
-  /// Total output toggles of gate \p gate_index, summed over all lanes.
-  /// (The compiled engine accumulates counters in tape order; this
-  /// accessor translates back to gate order, so both engines agree.)
-  std::uint64_t gate_toggles(std::size_t gate_index) const {
-    if (engine_ == SimEngine::Compiled) {
-      return gate_toggles_.at(tape_->op_of_gate.at(gate_index));
-    }
-    return gate_toggles_.at(gate_index);
-  }
+  /// Total output toggles of gate \p gate_index (Netlist::gates() order),
+  /// summed over all lanes.
+  using Engine::gate_toggles;
 
   /// Switching energy accumulated so far, in femtojoules: for every gate,
-  /// toggles x per-cell energy. Exact — lane packing loses no transitions.
-  double switched_energy_fj() const;
+  /// toggles x per-cell energy, summed in gate order.
+  using Engine::switched_energy_fj;
 
   /// Clears toggle counts and the vector counters (net state persists).
-  void reset_activity();
+  using Engine::reset_activity;
 
   const Netlist& netlist() const { return netlist_; }
 
-  /// Which engine executes the gate pass (fixed at construction).
-  SimEngine engine() const { return engine_; }
-
  private:
   const Netlist& netlist_;
-  SimEngine engine_;
-  std::shared_ptr<const Tape> tape_;  ///< null when engine_ == Bitsliced
-  std::vector<std::uint64_t> net_word_;
-  std::vector<std::uint64_t> gate_toggles_;
-  std::vector<std::uint64_t> out_words_;
-  std::vector<std::uint64_t> in_scratch_;
-  std::uint64_t vectors_applied_ = 0;
-  std::uint64_t transition_pairs_ = 0;
-  std::uint64_t baselined_lanes_ = 0;  ///< bit k = lane k has a baseline
 };
 
 }  // namespace axc::logic

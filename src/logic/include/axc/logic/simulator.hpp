@@ -1,21 +1,23 @@
 /// \file simulator.hpp
-/// Functional simulation with switching-activity capture.
+/// The scalar reference simulator.
 ///
 /// Replaces the paper's ModelSim + VCD/SAIF step (Fig. 2): applying a
 /// stimulus sequence yields both output values (functional verification)
 /// and per-gate toggle counts (the switching activity that drives the
 /// dynamic power estimate in power.hpp).
 ///
-/// Simulator is the scalar (one vector per pass) interface, implemented as
-/// a thin 1-lane wrapper over the 64-lane BitslicedSimulator — throughput
-/// consumers should use the packed API in bitsliced.hpp directly.
+/// Simulator is deliberately the plainest possible evaluator — one bit per
+/// net, eval_cell per gate in Netlist::gates() order — and shares no code
+/// with the compiled tape (tape.hpp), which does all production
+/// simulation. It is the oracle the tape is checked against: the
+/// equivalence suites replay every packed lane through one Simulator and
+/// require identical outputs, toggles and energy.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "axc/logic/bitsliced.hpp"
 #include "axc/logic/netlist.hpp"
 
 namespace axc::logic {
@@ -24,13 +26,14 @@ namespace axc::logic {
 ///
 /// The simulator is zero-delay: each vector produces the settled output.
 /// Toggles are counted per driven net between consecutive vectors, which is
-/// exactly the information a SAIF file carries for power estimation.
-/// Glitching is not modelled; this under-reports power uniformly across
-/// designs and therefore preserves relative comparisons.
+/// exactly the information a SAIF file carries for power estimation; the
+/// first vector after construction or reset_activity() is a baseline that
+/// establishes state without counting. Glitching is not modelled; this
+/// under-reports power uniformly across designs and therefore preserves
+/// relative comparisons.
 class Simulator {
  public:
-  explicit Simulator(const Netlist& netlist,
-                     SimEngine engine = default_sim_engine());
+  explicit Simulator(const Netlist& netlist);
 
   /// Applies one input vector (one bit per primary input, in the order of
   /// Netlist::inputs()) and returns the primary-output bits.
@@ -42,26 +45,32 @@ class Simulator {
   std::uint64_t apply_word(std::uint64_t input_word);
 
   /// Number of vectors applied since construction / reset_activity().
-  std::uint64_t vectors_applied() const { return core_.vectors_applied(); }
+  std::uint64_t vectors_applied() const { return vectors_applied_; }
 
   /// Total output toggles of gate \p gate_index accumulated so far.
   std::uint64_t gate_toggles(std::size_t gate_index) const {
-    return core_.gate_toggles(gate_index);
+    return gate_toggles_.at(gate_index);
   }
 
-  /// Switching energy accumulated so far, in femtojoules: for every gate,
-  /// toggles x per-cell energy.
-  double switched_energy_fj() const { return core_.switched_energy_fj(); }
+  /// Switching energy accumulated so far, in femtojoules: for every gate
+  /// in gate order, toggles x per-cell energy.
+  double switched_energy_fj() const;
 
   /// Clears toggle counts and the vector counter (state values persist so
   /// the next run still starts from the current state).
-  void reset_activity() { core_.reset_activity(); }
+  void reset_activity();
 
-  const Netlist& netlist() const { return core_.netlist(); }
+  const Netlist& netlist() const { return netlist_; }
 
  private:
-  BitslicedSimulator core_;
-  std::vector<std::uint64_t> in_words_;
+  /// Evaluates every gate in gate order from the current input bits.
+  void evaluate();
+
+  const Netlist& netlist_;
+  std::vector<unsigned> value_;  ///< one bit per net
+  std::vector<std::uint64_t> gate_toggles_;
+  std::uint64_t vectors_applied_ = 0;
+  bool baselined_ = false;  ///< a vector has set state in this window
 };
 
 }  // namespace axc::logic

@@ -1,18 +1,20 @@
 /// \file tape.hpp
 /// Netlist -> straight-line tape compilation.
 ///
-/// The bitsliced interpreter (bitsliced.hpp) walks the gate list and
-/// dispatches on the cell type of every gate of every pass — for the
-/// workloads this repo serves (exhaustive characterization, error sweeps,
-/// SAD batches, the service cold path) that per-cell branch is paid
-/// millions of times per netlist. compile_netlist() pays it once: the cell
-/// DAG is levelized (topological order over validated structure), ops are
-/// sorted so equal cell types become contiguous runs, and the whole
+/// The tape is the repo's one gate evaluator: every netlist simulation —
+/// exhaustive characterization, error sweeps, SAD batches, power
+/// estimation, gate-level fault campaigns and the service cold path —
+/// runs through it. compile_netlist() pays the per-cell dispatch once: the
+/// cell DAG is levelized (topological order over validated structure), ops
+/// are sorted so equal cell types become contiguous runs, and the whole
 /// netlist is emitted as a flat tape of word ops. Execution
 /// (tape_engine.hpp) is then one tight loop per run with the cell function
 /// inlined — no per-op switch, no virtual dispatch — over
 /// structure-of-arrays lane storage whose word width is a compile-time
-/// parameter (std::uint64_t now, LaneBlock<N> SWAR blocks for >64 lanes).
+/// parameter (std::uint64_t, LaneBlock<N> SWAR blocks for >64 lanes).
+/// The only other evaluator is the scalar reference Simulator
+/// (simulator.hpp), which shares no code with the tape and exists to check
+/// it.
 ///
 /// Levelization doubles as structural validation: combinational cycles and
 /// dangling cell inputs — expressible through Netlist::from_parts, never
@@ -65,13 +67,13 @@ struct Tape {
   /// the order is topological and equal opcodes are contiguous.
   std::vector<TapeOp> ops;
   std::vector<TapeRun> runs;
-  /// Gate index (Netlist::gates() order) -> op index. Toggle counters are
-  /// accumulated per op in tape order (sequential writes); this is the map
-  /// back to the interpreter's per-gate view.
+  /// Gate index (Netlist::gates() order) -> op index. Toggle counters and
+  /// fault words live per op in tape order (sequential access); this is
+  /// the map back to the per-gate view.
   std::vector<std::uint32_t> op_of_gate;
-  /// Per-gate switching energy (gate order) — lets engines reproduce
-  /// BitslicedSimulator::switched_energy_fj() with the exact same
-  /// floating-point summation order, hence byte-identical totals.
+  /// Per-gate switching energy (gate order) — engines sum switched energy
+  /// in gate order, the floating-point association of the reference
+  /// Simulator, hence byte-identical totals.
   std::vector<double> gate_energy_fj;
   std::vector<std::uint32_t> input_slots;      ///< Netlist::inputs()
   std::vector<std::uint32_t> output_slots;     ///< Netlist::outputs()
@@ -115,20 +117,5 @@ CompileCacheStats compile_cache_stats();
 /// Drops every cached tape and resets the counters (tests; engines keep
 /// their shared_ptr-held tapes alive independently).
 void clear_compile_cache();
-
-/// Which execution engine a BitslicedSimulator uses for its gate pass.
-enum class SimEngine {
-  Compiled,   ///< straight-line tape (compile_netlist + tape_engine.hpp)
-  Bitsliced,  ///< the per-gate dispatch interpreter loop
-};
-
-const char* to_string(SimEngine engine);
-
-/// Process-default engine: the AXC_ENGINE environment variable at first
-/// use ("compiled" | "bitsliced"; anything else throws), Compiled when
-/// unset. set_default_sim_engine overrides for the rest of the process
-/// (A/B benches and the equivalence tests flip it).
-SimEngine default_sim_engine();
-void set_default_sim_engine(SimEngine engine);
 
 }  // namespace axc::logic

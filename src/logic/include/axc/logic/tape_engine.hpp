@@ -1,5 +1,5 @@
 /// \file tape_engine.hpp
-/// Execution engines for compiled netlist tapes (tape.hpp).
+/// Execution engine for compiled netlist tapes (tape.hpp).
 ///
 /// The hot path is execute_tape(): one switch per homogeneous run (not per
 /// op) selects a run_ops instantiation whose cell type is a template
@@ -7,20 +7,21 @@
 /// dispatch is constant-folded away, and loads of unused input slots are
 /// dropped at compile time. Lane storage is structure-of-arrays — one Word
 /// per net slot — and Word is a compile-time parameter: std::uint64_t for
-/// the classic 64-lane engine, LaneBlock<N> for 64*N-lane SWAR blocks
-/// (N=4 is a 256-bit block, sized for AVX2; the inner per-op loop over
-/// sub-words autovectorizes). Toggle accounting stays exact at any width:
-/// per op, popcount((new ^ old) & counted_mask) accumulates into a per-op
-/// counter (sequential writes in tape order); Tape::op_of_gate maps the
-/// counters back to the interpreter's per-gate view and
-/// Tape::gate_energy_fj reproduces its energy summation order, so totals
-/// are byte-identical, not merely close.
+/// the 64-lane engine, LaneBlock<N> for 64*N-lane SWAR blocks (N=4 is a
+/// 256-bit block, sized for AVX2; the inner per-op loop over sub-words
+/// autovectorizes). Toggle accounting stays exact at any width: per op,
+/// popcount((new ^ old) & counted_mask) accumulates into a per-op counter
+/// (sequential writes in tape order); Tape::op_of_gate maps the counters
+/// back to the per-gate view and Tape::gate_energy_fj sums energy in gate
+/// order, so totals are byte-identical to the scalar reference Simulator
+/// (simulator.hpp), not merely close. An optional per-op XOR fault word
+/// upsets an op's output before fanout sees it — the gate-level SEU model
+/// of resilience::FaultySimulator.
 ///
-/// TapeSimulator<Word> is the standalone wide engine with the same lane
-/// discipline as BitslicedSimulator (per-lane baselines, masked stimulus
-/// merge, shrink/grow-safe). BitslicedSimulator itself executes through
-/// execute_tape() when constructed with SimEngine::Compiled — same 64-lane
-/// packing, same observability, zero call-site changes for consumers.
+/// TapeSimulator<Word> is the engine with the per-lane activity discipline
+/// (per-lane baselines, masked stimulus merge, shrink/grow-safe);
+/// BitslicedSimulator (bitsliced.hpp) is TapeSimulator<std::uint64_t> plus
+/// its obs instruments.
 #pragma once
 
 #include <algorithm>
@@ -32,11 +33,19 @@
 #include <vector>
 
 #include "axc/common/require.hpp"
-#include "axc/logic/bitsliced.hpp"  // pack_counting_lanes
 #include "axc/logic/netlist.hpp"
 #include "axc/logic/tape.hpp"
 
 namespace axc::logic {
+
+/// Packs counting stimulus into lane words: lane k of the result carries
+/// the bits of input word `base + k`. words[i] receives the lane-packed
+/// value of primary input i (for i < num_inputs <= 64). Only the low
+/// \p lanes (<= 64) lanes are meaningful. When base is 64-aligned this is
+/// six constant patterns plus sign fills — the standard SWAR enumeration
+/// trick.
+void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
+                         unsigned lanes, std::span<std::uint64_t> words);
 
 /// A SWAR block of N 64-bit words = 64*N simulation lanes. Plain bitwise
 /// semantics word-by-word; gcc/clang turn the fixed-size loops into vector
@@ -148,10 +157,12 @@ namespace detail {
 /// function, cell_fanin(kType) drops loads of unused input slots, and the
 /// loop body carries no dispatch at all. With kCounted, toggles[i] (op
 /// indexed relative to the run) accumulates the popcount of lanes that
-/// changed under counted_mask.
-template <typename Word, CellType kType, bool kCounted>
+/// changed under counted_mask. With kFaulty, faults[i] is XORed into op
+/// i's output before it is stored.
+template <typename Word, CellType kType, bool kCounted, bool kFaulty>
 inline void run_ops(const TapeOp* ops, std::uint32_t count, Word* slots,
-                    std::uint64_t* toggles, const Word& counted_mask) {
+                    std::uint64_t* toggles, const Word& counted_mask,
+                    const Word* faults) {
   constexpr int kFanin = cell_fanin(kType);
   static_assert(kFanin > 0, "pseudo-cells are never emitted as tape ops");
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -159,7 +170,8 @@ inline void run_ops(const TapeOp* ops, std::uint32_t count, Word* slots,
     const Word a = slots[op.in0];
     const Word b = kFanin >= 2 ? slots[op.in1] : Word{};
     const Word c = kFanin >= 3 ? slots[op.in2] : Word{};
-    const Word value = eval_cell_word<Word>(kType, a, b, c);
+    Word value = eval_cell_word<Word>(kType, a, b, c);
+    if constexpr (kFaulty) value = value ^ faults[i];
     if constexpr (kCounted) {
       toggles[i] +=
           LaneTraits<Word>::popcount((value ^ slots[op.out]) & counted_mask);
@@ -168,22 +180,22 @@ inline void run_ops(const TapeOp* ops, std::uint32_t count, Word* slots,
   }
 }
 
-/// One full gate pass over a compiled tape: dispatch once per run, loop
-/// branch-free within it. toggles (tape-op indexed, nullable when
-/// !kCounted) and counted_mask follow run_ops.
-template <typename Word, bool kCounted>
-inline void execute_tape(const Tape& tape, Word* slots,
-                         std::uint64_t* toggles, const Word& counted_mask) {
+template <typename Word, bool kCounted, bool kFaulty>
+inline void run_tape(const Tape& tape, Word* slots, std::uint64_t* toggles,
+                     const Word& counted_mask, const Word* faults) {
   const TapeOp* ops = tape.ops.data();
   for (const TapeRun& run : tape.runs) {
     const std::uint32_t count = run.end - run.begin;
     std::uint64_t* run_toggles = nullptr;
     if constexpr (kCounted) run_toggles = toggles + run.begin;
+    const Word* run_faults = nullptr;
+    if constexpr (kFaulty) run_faults = faults + run.begin;
     switch (run.type) {
-#define AXC_TAPE_RUN_CASE(T)                                              \
-  case CellType::T:                                                       \
-    run_ops<Word, CellType::T, kCounted>(ops + run.begin, count, slots,   \
-                                         run_toggles, counted_mask);      \
+#define AXC_TAPE_RUN_CASE(T)                                               \
+  case CellType::T:                                                        \
+    run_ops<Word, CellType::T, kCounted, kFaulty>(                         \
+        ops + run.begin, count, slots, run_toggles, counted_mask,          \
+        run_faults);                                                       \
     break;
       AXC_TAPE_RUN_CASE(Buf)
       AXC_TAPE_RUN_CASE(Inv)
@@ -212,20 +224,45 @@ inline void execute_tape(const Tape& tape, Word* slots,
   }
 }
 
+/// One full gate pass over a compiled tape: dispatch once per run, loop
+/// branch-free within it. toggles (tape-op indexed, nullable when
+/// !kCounted) and counted_mask follow run_ops. \p faults, when non-null,
+/// holds one XOR fault word per op in tape order.
+template <typename Word, bool kCounted>
+inline void execute_tape(const Tape& tape, Word* slots,
+                         std::uint64_t* toggles, const Word& counted_mask,
+                         const Word* faults = nullptr) {
+  if (faults != nullptr) {
+    run_tape<Word, kCounted, true>(tape, slots, toggles, counted_mask,
+                                   faults);
+  } else {
+    run_tape<Word, kCounted, false>(tape, slots, toggles, counted_mask,
+                                    nullptr);
+  }
+}
+
 }  // namespace detail
 
-/// Wide straight-line tape engine: BitslicedSimulator's lane discipline
-/// (per-lane baselines, masked stimulus merge, shrink/grow-exact toggle
-/// accounting — see bitsliced.hpp) generalized to 64*N lanes per pass.
-/// With Word = std::uint64_t and identical per-lane stimulus streams, all
-/// observable state — outputs, per-gate toggles, transition pairs,
-/// switched energy — is byte-identical to BitslicedSimulator; wider Words
-/// pack more concurrent streams per pass (a different, equally exact,
-/// temporal pairing of vectors into lanes).
+/// Straight-line tape engine over kLanes = 64*N lanes per pass.
 ///
-/// Unlike the BitslicedSimulator facade this class records no obs
-/// instruments in the hot path — it is the raw engine; the facade is the
-/// observable entry point.
+/// Lane discipline: the active lane count may vary freely between calls.
+/// Each lane's first active vector within an activity window (construction
+/// or reset_activity() to the next reset) is a per-lane baseline — it
+/// establishes state without counting transitions; later vectors of that
+/// lane count toggles against the last value the lane actually held. Lanes
+/// outside the active set keep their previous inputs (masked stimulus
+/// merge), so every one of their nets recomputes to exactly the value it
+/// last had while active, and they are excluded from toggle accounting.
+/// Shrink/grow patterns (a partial remainder batch followed by a full one,
+/// as the batched SAD path produces) therefore stay exact: L lanes over T
+/// steps are bit-identical — outputs, per-gate toggles, transition pairs,
+/// switched energy — to L scalar reference Simulators, lane k fed lane k's
+/// stream (tests/logic/test_tape.cpp). Wider Words pack more concurrent
+/// streams per pass (a different, equally exact, temporal pairing of
+/// vectors into lanes).
+///
+/// This class records no obs instruments in the hot path — it is the raw
+/// engine; BitslicedSimulator is the observable 64-lane entry point.
 template <typename Word = std::uint64_t>
 class TapeSimulator {
  public:
@@ -247,8 +284,11 @@ class TapeSimulator {
     }
   }
 
-  /// One packed stimulus word per primary input; semantics of
-  /// BitslicedSimulator::apply_lanes at kLanes width.
+  /// Applies one packed stimulus word per primary input (input_words[i]
+  /// lane k = lane k's value of input i, in the order of
+  /// Netlist::inputs()) and returns one packed word per primary output.
+  /// The returned span aliases internal storage and is valid until the
+  /// next apply call. Only the low \p lanes lanes are meaningful.
   std::span<const Word> apply_lanes(std::span<const Word> input_words,
                                     unsigned lanes = kLanes) {
     const auto& input_slots = tape_->input_slots;
@@ -265,7 +305,8 @@ class TapeSimulator {
     } else {
       // Masked merge: inactive lanes keep their previous input values so
       // their nets re-evaluate to exactly the state they last held while
-      // active (same invariant as the interpreter facade).
+      // active. Overwriting them would clobber that state, and the next
+      // wider pass would count toggles against the clobbered values.
       for (std::size_t i = 0; i < input_slots.size(); ++i) {
         slots_[input_slots[i]] = (slots_[input_slots[i]] & ~lane_mask) |
                                  (input_words[i] & lane_mask);
@@ -363,10 +404,8 @@ class TapeSimulator {
   /// pure functional evaluation: outputs and net state are exactly the
   /// ones a counted run would produce, but no toggle counters, transition
   /// pairs, or baselines are maintained — the per-op xor/popcount/
-  /// accumulate work disappears from the hot loop. This is the engine's
-  /// structural advantage over the interpreter (which always counts once
-  /// lanes are baselined): consumers that never read toggles — error
-  /// evaluation, output enumeration, batched SAD search — stop paying for
+  /// accumulate work disappears from the hot loop, so consumers that never
+  /// read toggles — error evaluation, output enumeration — stop paying for
   /// activity accounting. Equivalent to running counted and calling
   /// reset_activity() afterwards, minus the cost.
   void set_counting(bool on) { counting_ = on; }
@@ -381,8 +420,10 @@ class TapeSimulator {
     return op_toggles_.at(tape_->op_of_gate.at(gate_index));
   }
 
-  /// Switching energy in femtojoules, summed in gate order with the exact
-  /// floating-point association of BitslicedSimulator::switched_energy_fj.
+  /// Switching energy in femtojoules: for every gate, toggles x per-cell
+  /// energy, summed in gate order (the reference Simulator's
+  /// floating-point association). Exact — lane packing loses no
+  /// transitions.
   double switched_energy_fj() const {
     double energy = 0.0;
     const auto& op_of_gate = tape_->op_of_gate;

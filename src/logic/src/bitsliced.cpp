@@ -1,192 +1,37 @@
 #include "axc/logic/bitsliced.hpp"
 
-#include <bit>
-
-#include "axc/common/bits.hpp"
-#include "axc/common/require.hpp"
-#include "axc/logic/tape_engine.hpp"
 #include "axc/obs/obs.hpp"
 
 namespace axc::logic {
 
 namespace {
 
-// Lane values of input i for counting stimulus base + k with base
-// 64-aligned: bit i of (base + k) is periodic in k for i < 6 and constant
-// (= bit i of base) otherwise.
-constexpr std::uint64_t kCountingPattern[6] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
-};
-
-}  // namespace
-
-void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
-                         unsigned lanes, std::span<std::uint64_t> words) {
-  require(num_inputs <= 64 && words.size() >= num_inputs,
-          "pack_counting_lanes: > 64 inputs or destination too small");
-  require(lanes >= 1 && lanes <= BitslicedSimulator::kLanes,
-          "pack_counting_lanes: lanes must be in [1, 64]");
-  if (base % BitslicedSimulator::kLanes == 0) {
-    for (unsigned i = 0; i < num_inputs; ++i) {
-      words[i] = i < 6 ? kCountingPattern[i]
-                       : (bit_of(base, i) ? ~std::uint64_t{0} : 0);
-    }
-    return;
-  }
-  // Unaligned base (only the 1-lane scalar wrapper takes this path): pack
-  // lane by lane.
-  for (unsigned i = 0; i < num_inputs; ++i) words[i] = 0;
-  for (unsigned k = 0; k < lanes; ++k) {
-    const std::uint64_t word = base + k;
-    for (unsigned i = 0; i < num_inputs; ++i) {
-      words[i] |= static_cast<std::uint64_t>(bit_of(word, i)) << k;
-    }
-  }
-}
-
-BitslicedSimulator::BitslicedSimulator(const Netlist& netlist,
-                                       SimEngine engine)
-    : netlist_(netlist),
-      engine_(engine),
-      tape_(engine == SimEngine::Compiled ? compile_netlist(netlist)
-                                          : nullptr),
-      net_word_(netlist.net_count(), 0),
-      gate_toggles_(netlist.gate_count(), 0),
-      out_words_(netlist.outputs().size(), 0) {
-  // Constant nets hold their value in every lane for the whole simulation.
-  for (NetId net = 0; net < netlist.net_count(); ++net) {
-    if (netlist.driver(net) == CellType::Const1) {
-      net_word_[net] = ~std::uint64_t{0};
-    }
-  }
-}
-
-std::span<const std::uint64_t> BitslicedSimulator::apply_lanes(
-    std::span<const std::uint64_t> input_words, unsigned lanes) {
-  const auto& inputs = netlist_.inputs();
-  require(input_words.size() == inputs.size(),
-          "BitslicedSimulator::apply_lanes: stimulus width does not match "
-          "primary inputs");
-  require(lanes >= 1 && lanes <= kLanes,
-          "BitslicedSimulator::apply_lanes: lanes must be in [1, 64]");
-  // One gate-list pass advances `lanes` vectors; the occupancy histogram is
-  // how a run report shows whether batching actually fills the 64 lanes.
+/// One tape pass advances `lanes` vectors; the occupancy histogram is how
+/// a run report shows whether batching actually fills the 64 lanes.
+void count_pass(unsigned lanes) {
   static obs::Counter& passes = obs::counter("logic.sim.passes");
   static obs::Histogram& occupancy =
       obs::histogram("logic.sim.lane_occupancy");
   passes.add();
   occupancy.record(lanes);
-  const std::uint64_t lane_mask = low_mask(lanes);
-  // Merge the stimulus under the active-lane mask: inactive lanes keep
-  // their previous input values, so the full gate-list recompute below
-  // holds every one of their nets at exactly the value it last had while
-  // the lane was active (the netlist is combinational and evaluated in
-  // topological order). Overwriting all 64 bits here would clobber that
-  // state on a partial-lane pass and the next wider pass would count
-  // toggles against the clobbered values instead.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    net_word_[inputs[i]] = (net_word_[inputs[i]] & ~lane_mask) |
-                           (input_words[i] & lane_mask);
-  }
+}
 
-  // Only lanes that already received a baseline vector contribute
-  // transitions; lanes seen for the first time in this call establish
-  // state without counting (per-lane analogue of the scalar simulator's
-  // baseline vector). Together with the masked stimulus merge above this
-  // makes arbitrary shrink/grow lane patterns — e.g. a remainder batch
-  // followed by a full one — exact: each lane's toggles are counted
-  // against the last value *that lane* actually held while active.
-  const std::uint64_t counted_mask = lane_mask & baselined_lanes_;
-  if (engine_ == SimEngine::Compiled) {
-    // Straight-line tape pass: same values in the same nets (the tape
-    // order is topological), toggle counters accumulated in tape order
-    // (gate_toggles() translates back via op_of_gate).
-    if (counted_mask == 0) {
-      detail::execute_tape<std::uint64_t, false>(*tape_, net_word_.data(),
-                                                 nullptr, counted_mask);
-    } else {
-      detail::execute_tape<std::uint64_t, true>(
-          *tape_, net_word_.data(), gate_toggles_.data(), counted_mask);
-    }
-  } else {
-    const auto& gates = netlist_.gates();
-    if (counted_mask == 0) {
-      for (std::size_t g = 0; g < gates.size(); ++g) {
-        const Gate& gate = gates[g];
-        net_word_[gate.out] =
-            eval_cell_word(gate.type, net_word_[gate.in[0]],
-                           net_word_[gate.in[1]], net_word_[gate.in[2]]);
-      }
-    } else {
-      for (std::size_t g = 0; g < gates.size(); ++g) {
-        const Gate& gate = gates[g];
-        const std::uint64_t value =
-            eval_cell_word(gate.type, net_word_[gate.in[0]],
-                           net_word_[gate.in[1]], net_word_[gate.in[2]]);
-        gate_toggles_[g] += static_cast<std::uint64_t>(
-            std::popcount((value ^ net_word_[gate.out]) & counted_mask));
-        net_word_[gate.out] = value;
-      }
-    }
-  }
-  transition_pairs_ += static_cast<std::uint64_t>(std::popcount(counted_mask));
-  baselined_lanes_ |= lane_mask;
-  vectors_applied_ += lanes;
+}  // namespace
 
-  const auto& outputs = netlist_.outputs();
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    out_words_[i] = net_word_[outputs[i]];
-  }
-  return out_words_;
+std::span<const std::uint64_t> BitslicedSimulator::apply_lanes(
+    std::span<const std::uint64_t> input_words, unsigned lanes) {
+  const std::span<const std::uint64_t> out =
+      Engine::apply_lanes(input_words, lanes);
+  count_pass(lanes);
+  return out;
 }
 
 std::span<const std::uint64_t> BitslicedSimulator::apply_word_range(
     std::uint64_t base, unsigned lanes) {
-  const std::size_t n_in = netlist_.inputs().size();
-  require(n_in <= 64, "BitslicedSimulator::apply_word_range: > 64 inputs");
-  in_scratch_.resize(n_in);
-  pack_counting_lanes(base, static_cast<unsigned>(n_in), lanes, in_scratch_);
-  return apply_lanes(in_scratch_, lanes);
-}
-
-std::uint64_t BitslicedSimulator::lane_output(unsigned lane) const {
-  const auto& outputs = netlist_.outputs();
-  require(lane < kLanes && outputs.size() <= 64,
-          "BitslicedSimulator::lane_output: lane or output count out of "
-          "range");
-  std::uint64_t word = 0;
-  for (std::size_t j = 0; j < outputs.size(); ++j) {
-    word |= ((out_words_[j] >> lane) & 1u) << j;
-  }
-  return word;
-}
-
-double BitslicedSimulator::switched_energy_fj() const {
-  double energy = 0.0;
-  const auto& gates = netlist_.gates();
-  if (engine_ == SimEngine::Compiled) {
-    // Same gate-order summation as below, just with the per-gate toggle
-    // counters fetched through op_of_gate — identical FP association,
-    // hence byte-identical totals.
-    for (std::size_t g = 0; g < gates.size(); ++g) {
-      energy += static_cast<double>(gate_toggles_[tape_->op_of_gate[g]]) *
-                tape_->gate_energy_fj[g];
-    }
-    return energy;
-  }
-  for (std::size_t g = 0; g < gates.size(); ++g) {
-    energy += static_cast<double>(gate_toggles_[g]) *
-              cell_info(gates[g].type).energy_fj;
-  }
-  return energy;
-}
-
-void BitslicedSimulator::reset_activity() {
-  gate_toggles_.assign(gate_toggles_.size(), 0);
-  vectors_applied_ = 0;
-  transition_pairs_ = 0;
-  baselined_lanes_ = 0;
+  const std::span<const std::uint64_t> out =
+      Engine::apply_word_range(base, lanes);
+  count_pass(lanes);
+  return out;
 }
 
 }  // namespace axc::logic

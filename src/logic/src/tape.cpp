@@ -1,14 +1,14 @@
 #include "axc/logic/tape.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <string>
 #include <unordered_map>
 
+#include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
+#include "axc/logic/tape_engine.hpp"
 #include "axc/obs/obs.hpp"
 
 namespace axc::logic {
@@ -31,6 +31,14 @@ TapeCache& cache() {
   static TapeCache instance;
   return instance;
 }
+
+// Lane values of input i for counting stimulus base + k with base
+// 64-aligned: bit i of (base + k) is periodic in k for i < 6 and constant
+// (= bit i of base) otherwise.
+constexpr std::uint64_t kCountingPattern[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+};
 
 /// Mirrors the cache tally into the obs registry (report writers derive
 /// logic.compile.hit_rate from the pair).
@@ -111,20 +119,6 @@ std::shared_ptr<const Tape> build_tape(const Netlist& netlist) {
   ops_histogram.record(static_cast<std::int64_t>(tape->ops.size()));
   levels_histogram.record(static_cast<std::int64_t>(tape->level_count));
   return tape;
-}
-
-/// -1 = consult AXC_ENGINE lazily; otherwise a latched SimEngine value.
-std::atomic<int> g_engine{-1};
-
-SimEngine engine_from_env() {
-  const char* value = std::getenv("AXC_ENGINE");
-  if (value == nullptr || *value == '\0') return SimEngine::Compiled;
-  const std::string text(value);
-  if (text == "compiled") return SimEngine::Compiled;
-  if (text == "bitsliced") return SimEngine::Bitsliced;
-  AXC_REQUIRE(false, "AXC_ENGINE must be 'compiled' or 'bitsliced', got '" +
-                         text + "'");
-  return SimEngine::Compiled;  // unreachable
 }
 
 }  // namespace
@@ -263,6 +257,29 @@ std::shared_ptr<const Tape> compile_netlist(const Netlist& netlist) {
   return c.tapes.emplace(key, std::move(tape)).first->second;
 }
 
+void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
+                         unsigned lanes, std::span<std::uint64_t> words) {
+  require(num_inputs <= 64 && words.size() >= num_inputs,
+          "pack_counting_lanes: > 64 inputs or destination too small");
+  require(lanes >= 1 && lanes <= 64,
+          "pack_counting_lanes: lanes must be in [1, 64]");
+  if (base % 64 == 0) {
+    for (unsigned i = 0; i < num_inputs; ++i) {
+      words[i] = i < 6 ? kCountingPattern[i]
+                       : (bit_of(base, i) ? ~std::uint64_t{0} : 0);
+    }
+    return;
+  }
+  // Unaligned base: pack lane by lane.
+  for (unsigned i = 0; i < num_inputs; ++i) words[i] = 0;
+  for (unsigned k = 0; k < lanes; ++k) {
+    const std::uint64_t word = base + k;
+    for (unsigned i = 0; i < num_inputs; ++i) {
+      words[i] |= static_cast<std::uint64_t>(bit_of(word, i)) << k;
+    }
+  }
+}
+
 CompileCacheStats compile_cache_stats() {
   TapeCache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);
@@ -275,22 +292,6 @@ void clear_compile_cache() {
   c.tapes.clear();
   c.hits = 0;
   c.misses = 0;
-}
-
-const char* to_string(SimEngine engine) {
-  return engine == SimEngine::Compiled ? "compiled" : "bitsliced";
-}
-
-SimEngine default_sim_engine() {
-  const int latched = g_engine.load(std::memory_order_relaxed);
-  if (latched >= 0) return static_cast<SimEngine>(latched);
-  const SimEngine engine = engine_from_env();
-  g_engine.store(static_cast<int>(engine), std::memory_order_relaxed);
-  return engine;
-}
-
-void set_default_sim_engine(SimEngine engine) {
-  g_engine.store(static_cast<int>(engine), std::memory_order_relaxed);
 }
 
 }  // namespace axc::logic

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,8 +21,8 @@
 #include "axc/accel/sad.hpp"
 #include "axc/accel/sad_unit.hpp"
 #include "axc/common/rng.hpp"
-#include "axc/logic/bitsliced.hpp"
 #include "axc/logic/netlist.hpp"
+#include "axc/logic/tape.hpp"
 
 namespace axc::resilience {
 
@@ -73,12 +74,13 @@ class FaultInjector {
 /// net) before fanout sees it. Primary inputs and constants are not
 /// perturbed — upsets strike logic, stimuli are given.
 ///
-/// Bitsliced like logic::BitslicedSimulator: every net holds a 64-lane
-/// word and each gate's output lanes are upset independently via one
-/// per-gate XOR fault word, so apply_lanes() advances 64 campaign vectors
-/// per pass over the gate list. The scalar apply()/apply_word() entry
-/// points are 1-lane wrappers and draw the RNG in exactly the historical
-/// order (one Bernoulli per gate), so seeded campaigns reproduce.
+/// Runs on the compiled tape (logic/tape_engine.hpp): every net holds a
+/// 64-lane word and each gate's output lanes are upset independently via
+/// one per-gate XOR fault word, so apply_lanes() advances 64 campaign
+/// vectors per pass. Each pass draws one flip_mask(lanes) per gate in
+/// Netlist::gates() order and the tape applies them in its own op order,
+/// so a seed fixes the campaign independently of how the tape is laid
+/// out. The scalar apply()/apply_word() entry points are 1-lane passes.
 class FaultySimulator {
  public:
   FaultySimulator(const logic::Netlist& netlist, const FaultSpec& spec);
@@ -95,8 +97,7 @@ class FaultySimulator {
   /// primary input i; returns one packed word per primary output. Each
   /// gate draws `lanes` Bernoulli trials (lane k's upset of that gate).
   std::vector<std::uint64_t> apply_lanes(
-      std::span<const std::uint64_t> input_words,
-      unsigned lanes = logic::BitslicedSimulator::kLanes);
+      std::span<const std::uint64_t> input_words, unsigned lanes = 64);
 
   /// Bits flipped across all vectors so far.
   std::uint64_t faults_injected() const { return injector_.bits_flipped(); }
@@ -106,7 +107,9 @@ class FaultySimulator {
  private:
   const logic::Netlist& netlist_;
   FaultInjector injector_;
-  std::vector<std::uint64_t> net_word_;
+  std::shared_ptr<const logic::Tape> tape_;
+  std::vector<std::uint64_t> slots_;   ///< lane words, one per net
+  std::vector<std::uint64_t> faults_;  ///< XOR fault word per tape op
 };
 
 /// Datapath-level fault injection: evaluates \p dp with every computed

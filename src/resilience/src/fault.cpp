@@ -6,7 +6,7 @@
 #include "axc/accel/sad_netlist.hpp"
 #include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
-#include "axc/logic/cell.hpp"
+#include "axc/logic/tape_engine.hpp"
 #include "axc/obs/obs.hpp"
 
 namespace axc::resilience {
@@ -58,37 +58,40 @@ void FaultInjector::reseed(std::uint64_t seed) {
 
 FaultySimulator::FaultySimulator(const logic::Netlist& netlist,
                                  const FaultSpec& spec)
-    : netlist_(netlist), injector_(spec), net_word_(netlist.net_count(), 0) {
+    : netlist_(netlist),
+      injector_(spec),
+      tape_(logic::compile_netlist(netlist)),
+      slots_(tape_->slot_count, 0),
+      faults_(tape_->ops.size(), 0) {
   // Tie cells hold their value in every lane; upsets strike only logic.
-  for (logic::NetId net = 0; net < net_word_.size(); ++net) {
-    if (netlist.driver(net) == logic::CellType::Const1) {
-      net_word_[net] = ~std::uint64_t{0};
-    }
+  for (const std::uint32_t slot : tape_->const_one_slots) {
+    slots_[slot] = ~std::uint64_t{0};
   }
 }
 
 std::vector<std::uint64_t> FaultySimulator::apply_lanes(
     std::span<const std::uint64_t> input_words, unsigned lanes) {
-  const auto& inputs = netlist_.inputs();
-  AXC_REQUIRE(input_words.size() == inputs.size(),
+  const auto& input_slots = tape_->input_slots;
+  AXC_REQUIRE(input_words.size() == input_slots.size(),
               "FaultySimulator::apply_lanes: input vector arity mismatch");
-  AXC_REQUIRE(lanes >= 1 && lanes <= logic::BitslicedSimulator::kLanes,
+  AXC_REQUIRE(lanes >= 1 && lanes <= 64,
               "FaultySimulator::apply_lanes: lanes must be in [1, 64]");
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    net_word_[inputs[i]] = input_words[i];
+  for (std::size_t i = 0; i < input_slots.size(); ++i) {
+    slots_[input_slots[i]] = input_words[i];
   }
-  for (const logic::Gate& gate : netlist_.gates()) {
-    const std::uint64_t value = logic::eval_cell_word(
-        gate.type, net_word_[gate.in[0]], net_word_[gate.in[1]],
-        net_word_[gate.in[2]]);
-    // Per-lane XOR fault word: lane k of this gate's output upsets
-    // independently with the spec probability.
-    net_word_[gate.out] = value ^ injector_.flip_mask(lanes);
+  // Per-lane XOR fault words: lane k of a gate's output upsets
+  // independently with the spec probability. Drawn in gate order — the
+  // order that defines a seeded campaign — and stored at each gate's op.
+  const auto& op_of_gate = tape_->op_of_gate;
+  for (std::size_t g = 0; g < op_of_gate.size(); ++g) {
+    faults_[op_of_gate[g]] = injector_.flip_mask(lanes);
   }
+  logic::detail::execute_tape<std::uint64_t, false>(
+      *tape_, slots_.data(), nullptr, 0, faults_.data());
   std::vector<std::uint64_t> out;
-  out.reserve(netlist_.outputs().size());
-  for (const logic::NetId net : netlist_.outputs()) {
-    out.push_back(net_word_[net]);
+  out.reserve(tape_->output_slots.size());
+  for (const std::uint32_t slot : tape_->output_slots) {
+    out.push_back(slots_[slot]);
   }
   return out;
 }
@@ -213,7 +216,7 @@ void FaultyNetlistSad::sad_batch(std::span<const std::uint8_t> a,
   AXC_REQUIRE(candidates.size() == out.size() * bp,
               "FaultyNetlistSad::sad_batch: candidates must hold exactly "
               "one block per output slot");
-  constexpr unsigned kLanes = logic::BitslicedSimulator::kLanes;
+  constexpr unsigned kLanes = 64;
   std::size_t done = 0;
   while (done < out.size()) {
     const unsigned lanes = static_cast<unsigned>(
