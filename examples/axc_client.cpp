@@ -74,8 +74,7 @@ constexpr const char* kUsage =
     "  pipeline                 [--count N] pipelined pings over one\n"
     "                           multiplexed connection: N submits, one\n"
     "                           flush, responses collected in reverse\n"
-    "                           order (needs --transport reactor\n"
-    "                           server-side)\n"
+    "                           order\n"
     "  hold                     [--connections N] [--hold-ms T] open N\n"
     "                           idle connections, ping through the first\n"
     "                           and last, hold them T ms (for probing\n"

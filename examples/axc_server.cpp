@@ -44,7 +44,8 @@ constexpr const char* kUsage =
     "Serve the axc design-space endpoints (characterize_adder,\n"
     "characterize_multiplier, evaluate_error, gear_design_space,\n"
     "hetero_adder_design_space, array_mul_design_space,\n"
-    "static_adder_design_space, encode_probe, ping) over TCP.\n"
+    "static_adder_design_space, encode_probe, ping) over TCP through one\n"
+    "epoll reactor thread; legacy and multiplexed clients may share it.\n"
     "\n"
     "options:\n"
     "  --port <n>              TCP port, 0 = ephemeral (default 0)\n"
@@ -57,10 +58,6 @@ constexpr const char* kUsage =
     "                          (default 1024)\n"
     "  --eval-threads <n>      threads inside one job (default 1;\n"
     "                          results are identical for any value)\n"
-    "  --transport <t>         threaded (one thread per connection) or\n"
-    "                          reactor (one epoll thread for every\n"
-    "                          connection; accepts multiplexed clients)\n"
-    "                          (default threaded)\n"
     "  --allow-remote-shutdown honour client Shutdown requests\n"
     "  --ring-file <path>      join a cluster ring: one host:port per\n"
     "                          line, line i = ring index i (read lazily,\n"
@@ -171,14 +168,12 @@ class RingReplicator {
   std::vector<std::unique_ptr<axc::service::TcpConnection>> conns_;
 };
 
-axc::service::TcpServer* g_tcp_server = nullptr;
 axc::service::ReactorServer* g_reactor_server = nullptr;
 
 void handle_signal(int) {
-  // Flip the transport's stop flag and write its wakeup eventfd; the
-  // blocked poll/epoll_wait returns immediately, drains connections and
-  // wakes wait(). Async-signal-safe: an atomic store plus one write(2).
-  if (g_tcp_server != nullptr) g_tcp_server->request_stop();
+  // Flip the reactor's stop flag and write its wakeup eventfd; the
+  // blocked epoll_wait returns immediately, drains connections and wakes
+  // wait(). Async-signal-safe: an atomic store plus one write(2).
   if (g_reactor_server != nullptr) g_reactor_server->request_stop();
 }
 
@@ -195,8 +190,7 @@ int main(int argc, char** argv) {
   }
 
   service::ServerOptions server_options;
-  service::TcpServerOptions tcp_options;
-  std::string transport = "threaded";
+  service::ReactorServerOptions reactor_options;
   std::string port_file;
   std::string report_path = "REPORT_axc_server.json";
   std::string ring_file;
@@ -206,11 +200,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port") {
-      tcp_options.port = static_cast<std::uint16_t>(
+      reactor_options.port = static_cast<std::uint16_t>(
           require_long(kUsage, "--port", flag_value(kUsage, argc, argv, i),
                        0, 65535));
     } else if (arg == "--bind") {
-      tcp_options.bind_address = flag_value(kUsage, argc, argv, i);
+      reactor_options.bind_address = flag_value(kUsage, argc, argv, i);
     } else if (arg == "--workers") {
       server_options.workers = static_cast<unsigned>(require_long(
           kUsage, "--workers", flag_value(kUsage, argc, argv, i), 0, 1024));
@@ -226,14 +220,8 @@ int main(int argc, char** argv) {
       server_options.eval_threads = static_cast<unsigned>(require_long(
           kUsage, "--eval-threads", flag_value(kUsage, argc, argv, i), 1,
           1024));
-    } else if (arg == "--transport") {
-      transport = flag_value(kUsage, argc, argv, i);
-      if (transport != "threaded" && transport != "reactor") {
-        cli::usage_error(kUsage, "--transport must be threaded|reactor, got '" +
-                                     transport + "'");
-      }
     } else if (arg == "--allow-remote-shutdown") {
-      tcp_options.allow_remote_shutdown = true;
+      reactor_options.allow_remote_shutdown = true;
     } else if (arg == "--ring-file") {
       ring_file = flag_value(kUsage, argc, argv, i);
     } else if (arg == "--ring-index") {
@@ -277,30 +265,16 @@ int main(int argc, char** argv) {
             replicator->replicate(canonical, response);
           });
     }
-    std::optional<service::TcpServer> tcp;
-    std::optional<service::ReactorServer> reactor;
-    std::uint16_t bound_port = 0;
-    if (transport == "reactor") {
-      service::ReactorServerOptions reactor_options;
-      reactor_options.bind_address = tcp_options.bind_address;
-      reactor_options.port = tcp_options.port;
-      reactor_options.allow_remote_shutdown =
-          tcp_options.allow_remote_shutdown;
-      reactor.emplace(server, reactor_options);
-      g_reactor_server = &*reactor;
-      bound_port = reactor->port();
-    } else {
-      tcp.emplace(server, tcp_options);
-      g_tcp_server = &*tcp;
-      bound_port = tcp->port();
-    }
+    service::ReactorServer reactor(server, reactor_options);
+    g_reactor_server = &reactor;
+    const std::uint16_t bound_port = reactor.port();
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
 
-    std::printf("axc_server: listening on %s:%u (%s transport, %u workers, "
-                "queue %zu, cache %zu)\n",
-                tcp_options.bind_address.c_str(), bound_port,
-                transport.c_str(), server.options().workers,
+    std::printf("axc_server: listening on %s:%u (%u workers, queue %zu, "
+                "cache %zu)\n",
+                reactor_options.bind_address.c_str(), bound_port,
+                server.options().workers,
                 server.options().queue_capacity,
                 server.options().cache_capacity);
     if (!ring_file.empty()) {
@@ -314,8 +288,7 @@ int main(int argc, char** argv) {
     }
 
     // Until SIGINT/SIGTERM or a remote Shutdown request.
-    if (tcp) tcp->wait(); else reactor->wait();
-    g_tcp_server = nullptr;
+    reactor.wait();
     g_reactor_server = nullptr;
     server.stop();    // drain queued jobs, join workers
 

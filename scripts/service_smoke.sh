@@ -62,7 +62,9 @@ wait "$server_pid"
 server_pid=""
 grep -q '"service.requests"' "$workdir/report.json"
 grep -q '"service.ping.requests"' "$workdir/report.json"
-echo "service smoke OK (report has per-endpoint counters)"
+# The default server is the epoll reactor.
+grep -q '"service.reactor.connections_accepted"' "$workdir/report.json"
+echo "service smoke OK (report has per-endpoint and reactor counters)"
 
 # --- Chaos case 1: server killed mid-request -> typed transport error ----
 "$server" --port 0 --port-file "$workdir/port2" --allow-remote-shutdown \
@@ -118,12 +120,12 @@ wait "$server2_pid"
 server2_pid=""
 echo "service smoke OK (typed mid-request failure + retry across restart)"
 
-# --- Reactor transport: pipelining + many idle connections ---------------
+# --- Reactor: pipelining + many idle connections -------------------------
 # The epoll reactor serves every endpoint, accepts multiplexed pipelined
 # clients, and holds hundreds of idle connections without spawning a
 # thread per peer (bounded thread count, reactor obs counters in the
 # shutdown report).
-"$server" --transport reactor --port 0 --port-file "$workdir/port4" \
+"$server" --port 0 --port-file "$workdir/port4" \
   --workers 2 --allow-remote-shutdown --report "$workdir/report4.json" \
   >"$workdir/server4.log" 2>&1 &
 server2_pid=$!
@@ -143,9 +145,9 @@ run4 characterize-adder --family gear --width 8 --param-a 2 --param-b 2 \
 run4 pipeline --count 32 | grep -q "pipelined=32 collected=reverse ok"
 
 # Hold 256 idle connections open and check the server's thread count stays
-# bounded: reactor + acceptorless design means threads ~= workers + 1, and
-# must not scale with connections (the thread-per-connection transport
-# would sit at ~256 here).
+# bounded: one reactor thread means threads ~= workers + 1, and must not
+# scale with connections (a thread-per-connection server would sit at
+# ~256 here).
 "$client" --port "$port4" hold --connections 256 --hold-ms 2000 \
   >"$workdir/hold.out" 2>&1 &
 client_pid=$!

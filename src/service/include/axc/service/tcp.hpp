@@ -1,96 +1,18 @@
 /// \file tcp.hpp
-/// POSIX TCP transport: the same [length u32 LE][payload] frames as the
-/// loopback path, carried over sockets for real traffic.
-///
-/// TcpServer owns an acceptor thread plus one thread per live connection;
-/// each connection is served synchronously (read frame -> Server::call ->
-/// write frame), so per-connection responses arrive in request order while
-/// the worker pool overlaps jobs *across* connections. Graceful shutdown —
-/// stop(), a remote Shutdown request (when allowed), or destruction —
-/// stops accepting, lets every in-flight request finish and write its
-/// response, then joins all threads; the job server itself keeps running
-/// (its owner decides when to drain it).
+/// POSIX TCP client transport: the same [length u32 LE][payload] frames as
+/// the loopback path, carried over a socket to a ReactorServer
+/// (reactor.hpp), the one server-side transport.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "axc/service/framing.hpp"
-#include "axc/service/server.hpp"
 #include "axc/service/transport.hpp"
 
 namespace axc::service {
-
-struct TcpServerOptions {
-  /// Numeric address to bind; loopback by default (the smoke jobs and
-  /// examples never expose the service beyond the host unless asked).
-  std::string bind_address = "127.0.0.1";
-  /// 0 = ephemeral; the chosen port is readable via TcpServer::port().
-  std::uint16_t port = 0;
-  /// Honour Endpoint::Shutdown frames from clients. Off by default: a
-  /// remote peer must not be able to stop a server that didn't opt in.
-  bool allow_remote_shutdown = false;
-};
-
-class TcpServer {
- public:
-  /// Binds, listens and starts accepting. Throws std::runtime_error when
-  /// the socket cannot be set up. \p server must outlive this object.
-  TcpServer(Server& server, const TcpServerOptions& options = {});
-  ~TcpServer();
-
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  /// The bound port (resolves ephemeral requests).
-  std::uint16_t port() const { return port_; }
-
-  /// Graceful stop; idempotent, safe from any thread.
-  void stop();
-
-  /// Async-signal-safe stop signal: flips the stop flag and writes the
-  /// acceptor's wakeup eventfd, so the (otherwise indefinitely blocked)
-  /// poll returns immediately — no polling interval to wait out and no
-  /// periodic wakeups while idle. Pair with wait() or stop() to join.
-  void request_stop() noexcept;
-
-  /// Blocks until the transport has stopped (via stop() or a remote
-  /// Shutdown request).
-  void wait();
-
-  bool stopped() const { return stopped_.load(); }
-
- private:
-  void accept_loop();
-  void serve_connection(int fd);
-
-  Server& server_;
-  TcpServerOptions options_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  /// eventfd the acceptor polls alongside the listen fd; request_stop()
-  /// writes it to interrupt an indefinite poll. Owned for the object's
-  /// whole lifetime (closed in the destructor, never by the drain) so
-  /// request_stop() stays safe to call at any point.
-  int wake_fd_ = -1;
-
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> stopped_{false};
-  std::thread acceptor_;
-
-  std::mutex mutex_;
-  std::mutex join_mutex_;  ///< serializes acceptor_ joins
-  std::condition_variable stopped_cv_;
-  std::vector<std::thread> connections_;
-  std::vector<int> connection_fds_;
-};
 
 struct TcpConnectionOptions {
   /// Per-roundtrip read deadline: when the server has not produced the
@@ -100,10 +22,9 @@ struct TcpConnectionOptions {
   std::uint32_t read_timeout_ms = 0;
   /// Send multiplexed frames (framing.hpp): submit() puts requests on the
   /// wire immediately tagged with request ids, the server may answer out
-  /// of order, and collect() routes responses by id. Opt-in because a
-  /// mux frame aimed at a pre-PR 8 server fails fast with FrameOverflow
-  /// rather than degrading gracefully. Requires a mux-capable server
-  /// (ReactorServer).
+  /// of order, and collect() routes responses by id. Opt-in: legacy
+  /// framing keeps one request in flight per connection, and both framings
+  /// may share one ReactorServer.
   bool multiplex = false;
 };
 

@@ -15,6 +15,18 @@ std::uint32_t read_u32le(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// The payload length a header word announces; throws FrameOverflow past
+/// the cap, before anything is allocated or awaited.
+std::uint32_t checked_length(std::uint32_t word) {
+  const std::uint32_t length = word & ~kMuxFrameFlag;
+  if (length > kMaxFrameBytes) {
+    throw TransportError(TransportError::Kind::FrameOverflow,
+                         "frame length " + std::to_string(length) +
+                             " exceeds kMaxFrameBytes");
+  }
+  return length;
+}
+
 void put_u32le(Bytes& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -35,12 +47,7 @@ void append_mux_frame(Bytes& out, std::uint32_t request_id,
 void FrameAssembler::finish_header() {
   const std::uint32_t word = read_u32le(header_);
   current_.mux = (word & kMuxFrameFlag) != 0;
-  const std::uint32_t length = word & ~kMuxFrameFlag;
-  if (length > kMaxFrameBytes) {
-    throw TransportError(TransportError::Kind::FrameOverflow,
-                         "frame length " + std::to_string(length) +
-                             " exceeds kMaxFrameBytes");
-  }
+  const std::uint32_t length = checked_length(word);
   current_.request_id = current_.mux ? read_u32le(header_ + 4) : 0;
   body_need_ = length;
   current_.payload.clear();
@@ -64,12 +71,18 @@ void FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
       header_got_ += take;
       pos += take;
       if (header_got_ < need) continue;  // bytes exhausted mid-header
-      if (state_ == State::Header &&
-          (read_u32le(header_) & kMuxFrameFlag) != 0) {
-        state_ = State::MuxId;
-        continue;  // need the id word before the header is complete
+      if (state_ == State::Header) {
+        // The length word alone decides an overflow: a hostile mux
+        // announcement must not park the connection waiting for an id
+        // word that never comes.
+        const std::uint32_t word = read_u32le(header_);
+        checked_length(word);
+        if ((word & kMuxFrameFlag) != 0) {
+          state_ = State::MuxId;
+          continue;  // need the id word before the header is complete
+        }
       }
-      finish_header();  // validates length, moves to State::Body
+      finish_header();  // moves to State::Body
       header_got_ = 0;
       if (body_need_ > 0) continue;
       // Zero-length frame: complete immediately.

@@ -204,9 +204,9 @@ void ReactorServer::accept_ready() {
       ins.accept_errors.add();
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
           errno == ENOMEM) {
-        // Resource exhaustion: brief backoff (as the threaded acceptor
-        // does) so the pending backlog does not spin the loop; serving
-        // connections will finish and free fds.
+        // Resource exhaustion: brief backoff so the pending backlog does
+        // not spin the loop; serving connections will finish and free
+        // fds.
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
       return;
@@ -264,7 +264,7 @@ void ReactorServer::handle_frame(const std::shared_ptr<Conn>& conn,
       parse_request_header(payload);
   if (header && header->endpoint == Endpoint::Shutdown) {
     // Transport-level, never dispatched: the job server keeps running
-    // (its owner decides when to drain it) — same policy as TcpServer.
+    // (its owner decides when to drain it).
     {
       const std::lock_guard<std::mutex> lock(conn->m);
       conn->inflight++;

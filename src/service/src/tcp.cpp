@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,18 +11,12 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
-#include "axc/obs/obs.hpp"
 #include "axc/service/framing.hpp"
 
 namespace axc::service {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 [[noreturn]] void throw_transport_errno(TransportError::Kind kind,
                                         const std::string& what) {
@@ -153,197 +146,6 @@ std::size_t read_some(int fd, std::uint8_t* data, std::size_t size,
 }
 
 }  // namespace
-
-// --- TcpServer ------------------------------------------------------------
-
-TcpServer::TcpServer(Server& server, const TcpServerOptions& options)
-    : server_(server), options_(options) {
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) throw_errno("eventfd");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    const int saved = errno;
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-    errno = saved;
-    throw_errno("socket");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  const auto fail = [this](const std::string& what) {
-    const int saved = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-    errno = saved;
-    throw_errno(what);
-  };
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-    throw std::runtime_error("invalid bind address: " +
-                             options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0) {
-    fail("bind " + options_.bind_address + ":" +
-         std::to_string(options_.port));
-  }
-  if (::listen(listen_fd_, 64) < 0) fail("listen");
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
-
-TcpServer::~TcpServer() {
-  stop();
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-  }
-}
-
-void TcpServer::request_stop() noexcept {
-  stop_requested_.store(true);
-  // One eventfd write interrupts the acceptor's indefinite poll. Both
-  // calls are async-signal-safe; a full counter (EAGAIN) means a wakeup
-  // is already pending, which is all we need.
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(wake_fd_, &one, sizeof one);
-}
-
-void TcpServer::accept_loop() {
-  static obs::Counter& accepted =
-      obs::counter("service.tcp.connections_accepted");
-  static obs::Counter& accept_errors =
-      obs::counter("service.tcp.accept_errors");
-  static obs::Counter& wakeups = obs::counter("service.tcp.acceptor_wakeups");
-  while (!stop_requested_.load()) {
-    // Indefinite poll: the acceptor sleeps until a peer connects or
-    // request_stop() writes the eventfd. No periodic timeout — an idle
-    // server takes zero wakeups (test_tcp.cpp pins this via the counter)
-    // and shutdown latency is one eventfd write, not a poll interval.
-    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
-    const int ready = ::poll(pfds, 2, /*timeout_ms=*/-1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      accept_errors.add();
-      break;  // poll on the listen fd failing is not survivable
-    }
-    wakeups.add();
-    if (pfds[1].revents != 0) continue;  // stop signal; loop condition exits
-    if (pfds[0].revents == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      // The acceptor must survive anything a hostile or unlucky peer can
-      // cause. EINTR/ECONNABORTED/EAGAIN are routine; fd or buffer
-      // exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) is counted and backed
-      // off — connections already serving will finish and free fds. Only
-      // a dead listen socket (EBADF/EINVAL, i.e. shutdown) exits.
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-          errno == EWOULDBLOCK) {
-        continue;
-      }
-      if (errno == EBADF || errno == EINVAL) break;
-      accept_errors.add();
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      continue;
-    }
-    accepted.add();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_requested_.load()) {
-      ::close(fd);
-      break;
-    }
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-
-  // Drain: unblock reads so every connection thread observes EOF after
-  // finishing (and responding to) its in-flight request, then join them.
-  std::vector<std::thread> to_join;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
-    to_join.swap(connections_);
-  }
-  for (std::thread& thread : to_join) {
-    if (thread.joinable()) thread.join();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : connection_fds_) ::close(fd);
-    connection_fds_.clear();
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  stopped_.store(true);
-  stopped_cv_.notify_all();
-}
-
-void TcpServer::serve_connection(int fd) {
-  try {
-    Bytes request;
-    while (!stop_requested_.load() && read_frame(fd, request)) {
-      const std::optional<RequestHeader> header =
-          parse_request_header(request);
-      if (header && header->endpoint == Endpoint::Shutdown) {
-        if (options_.allow_remote_shutdown) {
-          write_frame(fd, encode_ok_response());
-          request_stop();  // wakes the acceptor immediately; it drains
-          return;
-        }
-        write_frame(fd, encode_error_response(
-                            Status::BadRequest,
-                            "remote shutdown not enabled on this server"));
-        continue;
-      }
-      write_frame(fd, server_.call(request));
-    }
-  } catch (const std::exception&) {
-    // Peer misbehaved (oversized frame, mid-frame close, IO error): drop
-    // the connection; the server itself is unaffected. Shut the socket
-    // down now so the peer observes the drop immediately — the fd itself
-    // is closed once by the acceptor's drain.
-    static obs::Counter& dropped =
-        obs::counter("service.tcp.connections_dropped");
-    dropped.add();
-    ::shutdown(fd, SHUT_RDWR);
-  }
-}
-
-void TcpServer::stop() {
-  request_stop();
-  const std::lock_guard<std::mutex> join_lock(join_mutex_);
-  if (acceptor_.joinable()) acceptor_.join();
-}
-
-void TcpServer::wait() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopped_cv_.wait(lock, [this] { return stopped_.load(); });
-  }
-  // The acceptor finished its drain; join it exactly once even when
-  // wait(), stop() and the destructor race.
-  const std::lock_guard<std::mutex> join_lock(join_mutex_);
-  if (acceptor_.joinable()) acceptor_.join();
-}
 
 // --- TcpConnection --------------------------------------------------------
 

@@ -21,6 +21,7 @@
 
 #include "axc/obs/obs.hpp"
 #include "axc/service/protocol.hpp"
+#include "axc/service/reactor.hpp"
 #include "axc/service/tcp.hpp"
 #include "axc/service/transport.hpp"
 
@@ -130,32 +131,32 @@ std::vector<std::uint8_t> frame(const Bytes& payload) {
 }
 
 /// The server must still answer a well-behaved client after the attack.
-void expect_server_still_serves(TcpServer& tcp) {
-  TcpConnection connection("127.0.0.1", tcp.port());
+void expect_server_still_serves(ReactorServer& reactor) {
+  TcpConnection connection("127.0.0.1", reactor.port());
   Client client(connection);
   EXPECT_NO_THROW(client.call(PingRequest{}));
 }
 
 TEST_F(MaliceTest, OversizedLengthPrefixDropsOnlyThatConnection) {
   Server server(ServerOptions{});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
-  RawSocket attacker(tcp.port());
+  RawSocket attacker(reactor.port());
   // Announce a 4 GiB frame; the server must refuse to allocate it.
   attacker.send_bytes({0xFF, 0xFF, 0xFF, 0xFF});
   EXPECT_TRUE(attacker.wait_for_peer_close());
-  EXPECT_EQ(counter_value("service.tcp.connections_dropped"), 1u);
+  EXPECT_EQ(counter_value("service.reactor.connections_dropped"), 1u);
 
-  expect_server_still_serves(tcp);
-  tcp.stop();
+  expect_server_still_serves(reactor);
+  reactor.stop();
   server.stop();
 }
 
 TEST_F(MaliceTest, ZeroLengthBodyAnswersBadRequestAndKeepsTheStream) {
   Server server(ServerOptions{});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
-  RawSocket attacker(tcp.port());
+  RawSocket attacker(reactor.port());
   attacker.send_bytes({0x00, 0x00, 0x00, 0x00});  // empty payload frame
   const std::optional<Bytes> response = attacker.read_frame();
   ASSERT_TRUE(response.has_value());
@@ -168,48 +169,48 @@ TEST_F(MaliceTest, ZeroLengthBodyAnswersBadRequestAndKeepsTheStream) {
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(response_status(*pong), Status::Ok);
 
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST_F(MaliceTest, StaleProtocolVersionAnswersBadRequest) {
   Server server(ServerOptions{});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
   Bytes request = encode_request(Endpoint::Ping);
   request[0] = 1;  // the pre-served_level wire version
-  RawSocket attacker(tcp.port());
+  RawSocket attacker(reactor.port());
   attacker.send_bytes(frame(request));
   const std::optional<Bytes> response = attacker.read_frame();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response_status(*response), Status::BadRequest);
 
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST_F(MaliceTest, GarbageEndpointIdAnswersBadRequest) {
   Server server(ServerOptions{});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
   Bytes request = encode_request(Endpoint::Ping);
   request[1] = 0xEE;  // no such endpoint
-  RawSocket attacker(tcp.port());
+  RawSocket attacker(reactor.port());
   attacker.send_bytes(frame(request));
   const std::optional<Bytes> response = attacker.read_frame();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response_status(*response), Status::BadRequest);
 
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST_F(MaliceTest, MidFrameEofDropsCleanly) {
   Server server(ServerOptions{});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
   {
-    RawSocket attacker(tcp.port());
+    RawSocket attacker(reactor.port());
     // Promise 100 bytes, deliver 10, walk away.
     attacker.send_bytes({100, 0x00, 0x00, 0x00});
     attacker.send_bytes({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
@@ -218,9 +219,9 @@ TEST_F(MaliceTest, MidFrameEofDropsCleanly) {
   }
 
   // The drop is counted and contained.
-  EXPECT_EQ(counter_value("service.tcp.connections_dropped"), 1u);
-  expect_server_still_serves(tcp);
-  tcp.stop();
+  EXPECT_EQ(counter_value("service.reactor.connections_dropped"), 1u);
+  expect_server_still_serves(reactor);
+  reactor.stop();
   server.stop();
 }
 

@@ -1,3 +1,7 @@
+/// TcpConnection against the ReactorServer: concurrent clients, idle
+/// behaviour and connect failures. Endpoint round trips, byte identity
+/// with the loopback path and remote shutdown are covered by
+/// test_reactor.cpp.
 #include "axc/service/tcp.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +12,7 @@
 #include <vector>
 
 #include "axc/obs/obs.hpp"
+#include "axc/service/reactor.hpp"
 #include "axc/service/transport.hpp"
 
 namespace axc::service {
@@ -19,106 +24,15 @@ std::uint64_t counter_value(const std::string& name) {
   return it == snap.counters.end() ? 0 : it->second;
 }
 
-TEST(Tcp, AllEndpointsRoundTripOverSockets) {
-  Server server({.workers = 2});
-  TcpServer tcp(server, {});  // loopback, ephemeral port
-  ASSERT_NE(tcp.port(), 0);
-
-  TcpConnection connection("127.0.0.1", tcp.port());
-  Client client(connection);
-
-  EXPECT_NO_THROW(client.call(PingRequest{}));
-
-  const CharacterizeResponse adder =
-      client.call(
-          CharacterizeAdderRequest{.width = 8, .param_a = 2, .param_b = 2});
-  EXPECT_GT(adder.area_ge, 0.0);
-
-  const CharacterizeResponse mul = client.call(CharacterizeMultiplierRequest{
-      .width = 4, .block = arith::Mul2x2Kind::SoA, .vectors = 128});
-  EXPECT_GT(mul.gate_count, 0u);
-
-  EvaluateErrorRequest eval;
-  eval.gear = {8, 2, 2};
-  const EvaluateErrorResponse stats = client.call(eval);
-  EXPECT_TRUE(stats.exhaustive);
-
-  GearDesignSpaceRequest space;
-  space.width = 8;
-  EXPECT_FALSE(client.call(space).points.empty());
-
-  EncodeProbeRequest probe;
-  probe.width = 32;
-  probe.height = 32;
-  probe.frames = 2;
-  EXPECT_GT(client.call(probe).total_bits, 0u);
-
-  tcp.stop();
-  EXPECT_TRUE(tcp.stopped());
-  server.stop();
-}
-
-TEST(Tcp, TcpResponseMatchesLoopbackByteForByte) {
-  Server server({.workers = 2});
-  TcpServer tcp(server, {});
-  TcpConnection socket("127.0.0.1", tcp.port());
-  LoopbackConnection loopback(server);
-
-  const Bytes request =
-      encode_request(CharacterizeAdderRequest{.width = 8, .param_a = 2,
-                                              .param_b = 2});
-  const Bytes over_socket = socket.roundtrip(request);
-  const Bytes over_loopback = loopback.roundtrip(request);
-  EXPECT_EQ(over_socket, over_loopback);
-
-  tcp.stop();
-  server.stop();
-}
-
-TEST(Tcp, RemoteShutdownIsRejectedUnlessEnabled) {
-  Server server({.workers = 1});
-  TcpServer tcp(server, {});  // allow_remote_shutdown defaults to false
-  TcpConnection connection("127.0.0.1", tcp.port());
-  Client client(connection);
-
-  try {
-    client.call(ShutdownRequest{});
-    FAIL() << "expected ServiceError";
-  } catch (const ServiceError& e) {
-    EXPECT_EQ(e.status(), Status::BadRequest);
-  }
-  // The refusal must not have stopped the transport.
-  EXPECT_FALSE(tcp.stopped());
-  EXPECT_NO_THROW(client.call(PingRequest{}));
-
-  tcp.stop();
-  server.stop();
-}
-
-TEST(Tcp, RemoteShutdownDrainsWhenEnabled) {
-  Server server({.workers = 2});
-  TcpServer tcp(server, {.allow_remote_shutdown = true});
-
-  {
-    TcpConnection connection("127.0.0.1", tcp.port());
-    Client client(connection);
-    EXPECT_NO_THROW(client.call(PingRequest{}));
-    EXPECT_NO_THROW(client.call(ShutdownRequest{}));  // acknowledged before the stop
-  }
-  tcp.wait();
-  EXPECT_TRUE(tcp.stopped());
-  server.stop();
-}
-
 TEST(Tcp, ConcurrentConnectionsEachGetTheirOwnAnswers) {
   Server server({.workers = 4});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
   std::vector<std::thread> clients;
   std::vector<std::uint64_t> gates(4, 0);
   for (int t = 0; t < 4; ++t) {
-    clients.emplace_back([&tcp, &gates, t] {
-      TcpConnection connection("127.0.0.1", tcp.port());
+    clients.emplace_back([&reactor, &gates, t] {
+      TcpConnection connection("127.0.0.1", reactor.port());
       Client client(connection);
       for (int i = 0; i < 5; ++i) {
         CharacterizeAdderRequest req;
@@ -137,32 +51,32 @@ TEST(Tcp, ConcurrentConnectionsEachGetTheirOwnAnswers) {
   for (int t = 1; t < 4; ++t) {
     EXPECT_NE(gates[static_cast<std::size_t>(t)], gates[0]);
   }
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST(Tcp, IdleAcceptorTakesZeroWakeups) {
-  // The acceptor polls with no timeout and an eventfd for stop signals:
-  // an idle server must take exactly zero wakeups over an idle window
-  // (the pre-PR 8 loop woke every 100 ms), and shutdown must still be
-  // immediate. Counter deltas, not timing asserts: robust on loaded CI.
+  // The reactor waits with no timeout and an eventfd for stop signals: an
+  // idle server must take exactly zero wakeups over an idle window, and
+  // shutdown must still be immediate. Counter deltas, not timing
+  // asserts: robust on loaded CI.
   Server server({.workers = 1});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
   {
-    TcpConnection connection("127.0.0.1", tcp.port());
+    TcpConnection connection("127.0.0.1", reactor.port());
     Client client(connection);
-    client.call(PingRequest{});  // prove the acceptor is alive first
+    client.call(PingRequest{});  // prove the reactor is alive first
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const std::uint64_t wakeups_before =
-      counter_value("service.tcp.acceptor_wakeups");
+      counter_value("service.reactor.epoll_wakeups");
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(counter_value("service.tcp.acceptor_wakeups"), wakeups_before);
+  EXPECT_EQ(counter_value("service.reactor.epoll_wakeups"), wakeups_before);
 
   const auto stop_started = std::chrono::steady_clock::now();
-  tcp.stop();
+  reactor.stop();
   const auto stop_took = std::chrono::steady_clock::now() - stop_started;
-  EXPECT_TRUE(tcp.stopped());
+  EXPECT_TRUE(reactor.stopped());
   // Generous bound: the point is "eventfd wakeup", not "poll interval".
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stop_took)
                 .count(),
@@ -174,9 +88,9 @@ TEST(Tcp, ConnectToClosedPortThrows) {
   std::uint16_t dead_port = 0;
   {
     Server server({.workers = 1});
-    TcpServer tcp(server, {});
-    dead_port = tcp.port();
-    tcp.stop();
+    ReactorServer reactor(server, {});
+    dead_port = reactor.port();
+    reactor.stop();
     server.stop();
   }
   EXPECT_THROW(TcpConnection("127.0.0.1", dead_port), std::runtime_error);
