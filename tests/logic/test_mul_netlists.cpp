@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <type_traits>
+
 #include "axc/arith/multiplier.hpp"
 #include "axc/arith/wallace.hpp"
 #include "axc/logic/simulator.hpp"
@@ -69,15 +73,28 @@ TEST(Mul2x2Netlists, AreaRelationsMatchFig5Trends) {
 
 // Structural multiplier == behavioural ApproxMultiplier with the same
 // configuration, across widths / blocks / adder approximations.
+//
+// gtest names an unprintable parameter by its raw bytes and
+// gtest_discover_tests copies them into the CTest name, so the parameter
+// structs here hold no padding and no pointers: every byte, label
+// included, is the same in every build.
 struct MulSpecCase {
-  MulNetlistSpec spec;
-  const char* label;
+  std::uint32_t width;
+  std::uint32_t approx_lsbs;
+  Mul2x2Kind block;
+  FullAdderKind adder_cell;
+  char label[14];
+
+  MulNetlistSpec spec() const {
+    return {width, block, adder_cell, approx_lsbs};
+  }
 };
+static_assert(std::has_unique_object_representations_v<MulSpecCase>);
 
 class MulNetlistEquivalence : public ::testing::TestWithParam<MulSpecCase> {};
 
 TEST_P(MulNetlistEquivalence, MatchesBehaviouralMultiplier) {
-  const MulNetlistSpec spec = GetParam().spec;
+  const MulNetlistSpec spec = GetParam().spec();
   arith::MultiplierConfig config;
   config.width = spec.width;
   config.block = spec.block;
@@ -103,15 +120,14 @@ TEST_P(MulNetlistEquivalence, MatchesBehaviouralMultiplier) {
 INSTANTIATE_TEST_SUITE_P(
     Specs, MulNetlistEquivalence,
     ::testing::Values(
-        MulSpecCase{{4, Mul2x2Kind::Accurate, FullAdderKind::Accurate, 0},
+        MulSpecCase{4, 0, Mul2x2Kind::Accurate, FullAdderKind::Accurate,
                     "exact4"},
-        MulSpecCase{{4, Mul2x2Kind::SoA, FullAdderKind::Accurate, 0},
-                    "soa4"},
-        MulSpecCase{{4, Mul2x2Kind::Ours, FullAdderKind::Apx3, 2},
+        MulSpecCase{4, 0, Mul2x2Kind::SoA, FullAdderKind::Accurate, "soa4"},
+        MulSpecCase{4, 2, Mul2x2Kind::Ours, FullAdderKind::Apx3,
                     "ours4apx"},
-        MulSpecCase{{8, Mul2x2Kind::Accurate, FullAdderKind::Accurate, 0},
+        MulSpecCase{8, 0, Mul2x2Kind::Accurate, FullAdderKind::Accurate,
                     "exact8"},
-        MulSpecCase{{8, Mul2x2Kind::Ours, FullAdderKind::Apx2, 4},
+        MulSpecCase{8, 4, Mul2x2Kind::Ours, FullAdderKind::Apx2,
                     "ours8apx"}),
     [](const auto& info) { return std::string(info.param.label); });
 
@@ -151,11 +167,12 @@ TEST(MulNetlists, ApproximationReducesArea) {
 // Wallace netlist == behavioural WallaceMultiplier, including with
 // approximate compressors (the dot diagrams must match bit-for-bit).
 struct WallaceCase {
-  unsigned width;
+  std::uint32_t width;
+  std::uint32_t approx_lsbs;
   arith::FullAdderKind cell;
-  unsigned approx_lsbs;
-  const char* label;
+  char label[15];
 };
+static_assert(std::has_unique_object_representations_v<WallaceCase>);
 
 class WallaceNetlistEquivalence
     : public ::testing::TestWithParam<WallaceCase> {};
@@ -180,11 +197,11 @@ TEST_P(WallaceNetlistEquivalence, MatchesBehaviouralWallace) {
 INSTANTIATE_TEST_SUITE_P(
     Specs, WallaceNetlistEquivalence,
     ::testing::Values(
-        WallaceCase{4, arith::FullAdderKind::Accurate, 0, "exact4"},
-        WallaceCase{4, arith::FullAdderKind::Apx3, 3, "apx3_4"},
-        WallaceCase{5, arith::FullAdderKind::Apx2, 4, "apx2_5"},
-        WallaceCase{8, arith::FullAdderKind::Accurate, 0, "exact8"},
-        WallaceCase{8, arith::FullAdderKind::Apx4, 6, "apx4_8"}),
+        WallaceCase{4, 0, arith::FullAdderKind::Accurate, "exact4"},
+        WallaceCase{4, 3, arith::FullAdderKind::Apx3, "apx3_4"},
+        WallaceCase{5, 4, arith::FullAdderKind::Apx2, "apx2_5"},
+        WallaceCase{8, 0, arith::FullAdderKind::Accurate, "exact8"},
+        WallaceCase{8, 6, arith::FullAdderKind::Apx4, "apx4_8"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST(WallaceNetlist, ApproximationReducesArea) {
