@@ -18,10 +18,10 @@
 /// are identical in both framings — the byte-identical-response contract
 /// and the result-cache identity never see the request id.
 ///
-/// (A mux frame sent to a pre-PR 8 thread-per-connection server parses as
-/// a frame-overflow length and drops the connection with a typed
-/// transport/frame_overflow error: fail-fast, never silent corruption.
-/// Multiplexing is therefore opt-in on the client.)
+/// (Multiplexing is opt-in on the client: a server that predates the
+/// flag reads it as an oversized length and drops the connection with a
+/// typed transport/frame_overflow error — fail-fast, never silent
+/// corruption.)
 ///
 /// FrameAssembler is the incremental parser both the reactor's
 /// per-connection read state machine and the tests share: feed it bytes in
