@@ -52,6 +52,11 @@ class SadAccelerator final : public SadUnit {
   std::uint64_t sad(std::span<const std::uint8_t> a,
                     std::span<const std::uint8_t> b) const override;
 
+  /// Same results as the default; the size checks run once per batch.
+  void sad_batch(std::span<const std::uint8_t> a,
+                 std::span<const std::uint8_t> candidates,
+                 std::span<std::uint64_t> out) const override;
+
   /// True when every adder cell is accurate.
   bool is_exact() const override;
 

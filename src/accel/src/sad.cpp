@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "axc/accel/sad_tree.hpp"
 #include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
 
@@ -37,7 +38,8 @@ SadAccelerator::SadAccelerator(const SadConfig& config)
       subtractor_(RippleAdder::lsb_approximated(
           kPixelBits, config.cell,
           std::min(config.approx_lsbs, kPixelBits))) {
-  require(config.block_pixels >= 2 && config.block_pixels <= 4096 &&
+  require(config.block_pixels >= 2 &&
+              config.block_pixels <= kMaxBlockPixels &&
               std::has_single_bit(config.block_pixels),
           "SadAccelerator: block_pixels must be a power of two in [2, 4096]");
   // Tree level i sums (block_pixels >> (i+1)) pairs of (8+i)-bit values.
@@ -54,19 +56,23 @@ std::uint64_t SadAccelerator::sad(std::span<const std::uint8_t> a,
                                   std::span<const std::uint8_t> b) const {
   require(a.size() == config_.block_pixels && b.size() == a.size(),
           "SadAccelerator::sad: block size mismatch");
-  std::vector<std::uint64_t> values(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    values[i] = arith::abs_diff_via(subtractor_, a[i], b[i]);
+  return detail::sad_tree<RippleAdder>(a, b, subtractor_, tree_adders_);
+}
+
+void SadAccelerator::sad_batch(std::span<const std::uint8_t> a,
+                               std::span<const std::uint8_t> candidates,
+                               std::span<std::uint64_t> out) const {
+  const std::size_t bp = config_.block_pixels;
+  AXC_REQUIRE(a.size() == bp,
+              "SadAccelerator::sad_batch: current block size mismatch");
+  AXC_REQUIRE(candidates.size() == out.size() * bp,
+              "SadAccelerator::sad_batch: candidates must hold exactly one "
+              "block per output slot");
+  detail::count_sad_batch(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = detail::sad_tree<RippleAdder>(a, candidates.subspan(i * bp, bp),
+                                           subtractor_, tree_adders_);
   }
-  // Binary reduction; level adders carry one extra output bit per level.
-  for (const RippleAdder& adder : tree_adders_) {
-    const std::size_t half = values.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      values[i] = adder.add(values[2 * i], values[2 * i + 1], 0);
-    }
-    values.resize(half);
-  }
-  return values.front();
 }
 
 bool SadAccelerator::is_exact() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "axc/accel/sad_tree.hpp"
 #include "axc/common/require.hpp"
 #include "axc/common/rng.hpp"
 #include "axc/logic/adder_netlists.hpp"
@@ -60,7 +61,8 @@ std::vector<NetId> add_abs_diff(Netlist& nl, const SadConfig& config,
 }  // namespace
 
 Netlist sad_netlist(const SadConfig& config) {
-  require(config.block_pixels >= 2 && config.block_pixels <= 4096 &&
+  require(config.block_pixels >= 2 &&
+              config.block_pixels <= kMaxBlockPixels &&
               std::has_single_bit(config.block_pixels),
           "sad_netlist: block_pixels must be a power of two in [2, 4096]");
   Netlist nl(config.name());

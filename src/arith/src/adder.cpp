@@ -1,6 +1,8 @@
 #include "axc/arith/adder.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <mutex>
 
 #include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
@@ -21,10 +23,85 @@ std::string ExactAdder::name() const {
   return "Exact" + std::to_string(width_);
 }
 
+namespace {
+
+constexpr unsigned kChunkBits = RippleAdder::kChunkBits;
+constexpr std::size_t kChunkTableSize = std::size_t{1}
+                                        << (2 * kChunkBits + 1);
+constexpr std::size_t kChunkPatterns = 6 * 6 * 6 * 6;  // 6^kChunkBits
+static_assert(kFullAdderKindCount == 6 && kChunkBits == 4);
+using ChunkTable = std::array<std::uint8_t, kChunkTableSize>;
+
+/// The table of one 4-cell chunk, shared by every adder with the same cell
+/// pattern. The intern is bounded by construction (6^4 patterns x 512 B)
+/// and never frees, so the pointers adders hold stay valid.
+const std::uint8_t* interned_chunk_table(
+    const std::array<FullAdderKind, kChunkBits>& cells) {
+  std::size_t key = 0;
+  for (const FullAdderKind kind : cells) {
+    key = key * kFullAdderKindCount + static_cast<std::size_t>(kind);
+  }
+  static std::mutex mutex;
+  static std::array<std::unique_ptr<const ChunkTable>, kChunkPatterns> tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::unique_ptr<const ChunkTable>& slot = tables[key];
+  if (!slot) {
+    auto table = std::make_unique<ChunkTable>();
+    for (std::size_t index = 0; index < kChunkTableSize; ++index) {
+      const std::uint64_t a = index >> (kChunkBits + 1);
+      const std::uint64_t b = (index >> 1) & low_mask(kChunkBits);
+      (*table)[index] = static_cast<std::uint8_t>(ripple_add_reference(
+          cells, a, b, static_cast<unsigned>(index & 1u)));
+    }
+    slot = std::move(table);
+  }
+  return slot->data();
+}
+
+}  // namespace
+
+std::uint64_t ripple_add_reference(std::span<const FullAdderKind> cells,
+                                   std::uint64_t a, std::uint64_t b,
+                                   unsigned carry_in) {
+  std::uint64_t sum = 0;
+  unsigned carry = carry_in & 1u;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const FullAdderOut out =
+        full_add(cells[i], bit_of(a, static_cast<unsigned>(i)),
+                 bit_of(b, static_cast<unsigned>(i)), carry);
+    sum |= static_cast<std::uint64_t>(out.sum) << i;
+    carry = out.carry;
+  }
+  sum |= static_cast<std::uint64_t>(carry) << cells.size();
+  return sum;
+}
+
 RippleAdder::RippleAdder(std::vector<FullAdderKind> cells)
     : cells_(std::move(cells)) {
   require(!cells_.empty() && cells_.size() <= 63,
           "RippleAdder: width must be in [1, 63]");
+  mask_ = low_mask(width());
+  // Table chunks cover every cell up to the highest non-accurate one; the
+  // rest is exact and becomes one native add.
+  const auto last_approx = std::find_if(
+      cells_.rbegin(), cells_.rend(),
+      [](FullAdderKind k) { return k != FullAdderKind::Accurate; });
+  const auto low_cells =
+      static_cast<unsigned>(std::distance(last_approx, cells_.rend()));
+  chunk_count_ = (low_cells + kChunkBits - 1) / kChunkBits;
+  high_shift_ = std::min(chunk_count_ * kChunkBits, 63u);
+  for (unsigned c = 0; c < chunk_count_; ++c) {
+    // Positions past the width are padded with accurate cells; their
+    // operand bits are masked to zero, so the padding only carries the
+    // carry-out up to bit width().
+    std::array<FullAdderKind, kChunkBits> pattern{};
+    pattern.fill(FullAdderKind::Accurate);
+    for (unsigned i = 0; i < kChunkBits; ++i) {
+      const unsigned bit = c * kChunkBits + i;
+      if (bit < width()) pattern[i] = cells_[bit];
+    }
+    chunks_[c] = interned_chunk_table(pattern);
+  }
 }
 
 RippleAdder RippleAdder::lsb_approximated(unsigned width, FullAdderKind kind,
@@ -36,21 +113,6 @@ RippleAdder RippleAdder::lsb_approximated(unsigned width, FullAdderKind kind,
   std::vector<FullAdderKind> cells(width, FullAdderKind::Accurate);
   std::fill(cells.begin(), cells.begin() + approx_lsbs, kind);
   return RippleAdder(std::move(cells));
-}
-
-std::uint64_t RippleAdder::add(std::uint64_t a, std::uint64_t b,
-                               unsigned carry_in) const {
-  std::uint64_t sum = 0;
-  unsigned carry = carry_in & 1u;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const FullAdderOut out =
-        full_add(cells_[i], bit_of(a, static_cast<unsigned>(i)),
-                 bit_of(b, static_cast<unsigned>(i)), carry);
-    sum |= static_cast<std::uint64_t>(out.sum) << i;
-    carry = out.carry;
-  }
-  sum |= static_cast<std::uint64_t>(carry) << cells_.size();
-  return sum;
 }
 
 std::string RippleAdder::name() const {
@@ -76,38 +138,12 @@ std::string RippleAdder::name() const {
   return "Ripple<mixed/" + std::to_string(width) + ">";
 }
 
-bool RippleAdder::is_exact() const {
-  return std::all_of(cells_.begin(), cells_.end(), [](FullAdderKind k) {
-    return k == FullAdderKind::Accurate;
-  });
-}
-
 AdderFactory ripple_adder_factory(FullAdderKind kind, unsigned approx_lsbs) {
   return [kind, approx_lsbs](unsigned width) -> std::unique_ptr<Adder> {
     const unsigned k = std::min(approx_lsbs, width);
     return std::make_unique<RippleAdder>(
         RippleAdder::lsb_approximated(width, kind, k));
   };
-}
-
-std::uint64_t subtract_via(const Adder& adder, std::uint64_t a,
-                           std::uint64_t b) {
-  const std::uint64_t mask = low_mask(adder.width());
-  // a - b = a + ~b + 1; the +1 rides in on the carry-in, exactly as a
-  // hardware subtractor reuses the adder cell.
-  return adder.add(a & mask, (~b) & mask, 1u);
-}
-
-std::uint64_t abs_diff_via(const Adder& adder, std::uint64_t a,
-                           std::uint64_t b) {
-  const unsigned width = adder.width();
-  const std::uint64_t diff = subtract_via(adder, a, b);
-  // Carry-out of the a + ~b + 1 path is the "no borrow" flag; the hardware
-  // muxes between the two subtraction directions on it. An approximate
-  // adder may raise the wrong flag — that is part of its error behaviour
-  // and is deliberately modelled, not patched over.
-  if (bit_of(diff, width) != 0) return diff & low_mask(width);
-  return subtract_via(adder, b, a) & low_mask(width);
 }
 
 }  // namespace axc::arith

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -53,12 +54,18 @@ Characterization characterize(const Netlist& netlist,
                               const PowerModel& model =
                                   calibrated_power_model());
 
+/// Entries each of the characterization cache's three maps (records,
+/// truth tables, numeric records) keeps; past it the least recently used
+/// entry is evicted and recomputed on its next use.
+inline constexpr std::size_t kCharacterizationCacheCapacity = 512;
+
 /// Hit/miss counters of the in-process characterization cache (covers
-/// characterize(), netlist_truth_table() and accel::characterize_sad()).
-/// All cache operations are thread-safe.
+/// characterize(), netlist_truth_table() and accel::characterize_sad())
+/// and its current size. All cache operations are thread-safe.
 struct CharacterizationCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::size_t entries = 0;  ///< over all three maps
 };
 CharacterizationCacheStats characterization_cache_stats();
 

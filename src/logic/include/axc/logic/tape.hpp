@@ -28,6 +28,7 @@
 /// compiles record logic.tape.{ops,levels} histograms (obs.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -99,18 +100,33 @@ struct Levelization {
 /// is the validation gate for Netlist::from_parts.
 Levelization levelize(const Netlist& netlist);
 
+/// Tapes the process-wide cache keeps; past it the least recently used
+/// tape is evicted (engines keep theirs alive through the shared_ptr). A
+/// sweep over every service endpoint family compiles 177 distinct
+/// netlists, so that working set stays resident.
+inline constexpr std::size_t kCompileCacheCapacity = 512;
+
 /// Compiles \p netlist to a tape, memoized process-wide on
-/// structural_hash(). Thread-safe; a cached tape is shared, a fresh
-/// compile levelizes (validating — see levelize()) and emits. A hash
-/// collision (cached tape's shape disagrees with the netlist) degrades to
-/// an uncached fresh compile rather than returning a wrong tape.
+/// structural_hash() in an LRU cache of kCompileCacheCapacity tapes.
+/// Thread-safe; a cached tape is shared, a fresh compile levelizes
+/// (validating — see levelize()) and emits. A hash collision (cached
+/// tape's shape disagrees with the netlist) degrades to an uncached fresh
+/// compile rather than returning a wrong tape.
 std::shared_ptr<const Tape> compile_netlist(const Netlist& netlist);
 
+namespace detail {
+/// compile_netlist() under an explicit cache \p key, so tests can force two
+/// netlists onto one key and check the collision path.
+std::shared_ptr<const Tape> compile_netlist_keyed(const Netlist& netlist,
+                                                  std::uint64_t key);
+}  // namespace detail
+
 /// Hit/miss counters of the process-wide tape cache (mirrored into the
-/// obs registry as logic.compile.{hits,misses}).
+/// obs registry as logic.compile.{hits,misses}) and its current size.
 struct CompileCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::size_t entries = 0;  ///< tapes cached, <= kCompileCacheCapacity
 };
 CompileCacheStats compile_cache_stats();
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <mutex>
-#include <unordered_map>
 
+#include "axc/common/lru_map.hpp"
 #include "axc/common/require.hpp"
 #include "axc/logic/bitsliced.hpp"
 #include "axc/logic/adder_netlists.hpp"
@@ -24,14 +24,17 @@ void count_cache_probe(bool hit) {
   (hit ? hits : misses).add();
 }
 
+template <class Value>
+using Memo = LruMap<std::uint64_t, Value, kCharacterizationCacheCapacity>;
+
 /// One process-wide memo for every simulated characterization product.
 /// Keys are structural-hash-derived digests; values are immutable once
 /// interned, so lookups can hand out copies under a single mutex.
 struct CharacterizationCache {
   std::mutex mutex;
-  std::unordered_map<std::uint64_t, Characterization> records;
-  std::unordered_map<std::uint64_t, TruthTable> tables;
-  std::unordered_map<std::uint64_t, std::array<double, 3>> numeric;
+  Memo<Characterization> records;
+  Memo<TruthTable> tables;
+  Memo<std::array<double, 3>> numeric;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
@@ -39,6 +42,28 @@ struct CharacterizationCache {
 CharacterizationCache& cache() {
   static CharacterizationCache instance;
   return instance;
+}
+
+/// The value under \p key in the cache's \p memo, or \p compute's result
+/// interned there. compute runs outside the lock, so concurrent misses on
+/// one key may both compute; the first insert wins and both get its copy.
+template <class Value, class Compute>
+Value memoized(Memo<Value> CharacterizationCache::*memo, std::uint64_t key,
+               Compute&& compute) {
+  CharacterizationCache& c = cache();
+  {
+    const std::lock_guard<std::mutex> lock(c.mutex);
+    if (const Value* hit = (c.*memo).find(key)) {
+      ++c.hits;
+      count_cache_probe(true);
+      return *hit;
+    }
+    ++c.misses;
+    count_cache_probe(false);
+  }
+  Value value = compute();
+  const std::lock_guard<std::mutex> lock(c.mutex);
+  return (c.*memo).insert(key, std::move(value));
 }
 
 using detail::mix_key;
@@ -93,22 +118,8 @@ TruthTable netlist_truth_table(const Netlist& netlist) {
           "netlist_truth_table: netlist too wide to enumerate");
   const std::uint64_t key =
       mix_key(netlist.structural_hash(), std::uint64_t{0x77});
-  {
-    CharacterizationCache& c = cache();
-    const std::lock_guard<std::mutex> lock(c.mutex);
-    const auto it = c.tables.find(key);
-    if (it != c.tables.end()) {
-      ++c.hits;
-      count_cache_probe(true);
-      return it->second;
-    }
-    ++c.misses;
-    count_cache_probe(false);
-  }
-  TruthTable table = enumerate_truth_table(netlist);
-  CharacterizationCache& c = cache();
-  const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.tables.emplace(key, std::move(table)).first->second;
+  return memoized(&CharacterizationCache::tables, key,
+                  [&] { return enumerate_truth_table(netlist); });
 }
 
 Characterization characterize(const Netlist& netlist,
@@ -126,40 +137,28 @@ Characterization characterize(const Netlist& netlist,
   key = mix_key(key, reference.has_value()
                          ? truth_table_digest(*reference)
                          : std::uint64_t{0});
-  {
-    CharacterizationCache& c = cache();
-    const std::lock_guard<std::mutex> lock(c.mutex);
-    const auto it = c.records.find(key);
-    if (it != c.records.end()) {
-      ++c.hits;
-      count_cache_probe(true);
-      return it->second;
+  return memoized(&CharacterizationCache::records, key, [&] {
+    Characterization result;
+    result.name = netlist.name();
+    result.area_ge = netlist.area_ge();
+    result.gate_count = netlist.gate_count();
+    result.power_nw =
+        estimate_random_power(netlist, vectors, seed, model).total_nw;
+    if (reference.has_value()) {
+      const TruthTable actual = netlist_truth_table(netlist);
+      result.error_cases = actual.error_cases_vs(*reference);
+      result.max_error = actual.max_error_vs(*reference);
+      result.input_space = actual.row_count();
     }
-    ++c.misses;
-    count_cache_probe(false);
-  }
-
-  Characterization result;
-  result.name = netlist.name();
-  result.area_ge = netlist.area_ge();
-  result.gate_count = netlist.gate_count();
-  result.power_nw = estimate_random_power(netlist, vectors, seed, model).total_nw;
-  if (reference.has_value()) {
-    const TruthTable actual = netlist_truth_table(netlist);
-    result.error_cases = actual.error_cases_vs(*reference);
-    result.max_error = actual.max_error_vs(*reference);
-    result.input_space = actual.row_count();
-  }
-
-  CharacterizationCache& c = cache();
-  const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.records.emplace(key, std::move(result)).first->second;
+    return result;
+  });
 }
 
 CharacterizationCacheStats characterization_cache_stats() {
   CharacterizationCache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);
-  return {c.hits, c.misses};
+  return {c.hits, c.misses,
+          c.records.size() + c.tables.size() + c.numeric.size()};
 }
 
 void clear_characterization_cache() {
@@ -184,22 +183,7 @@ std::uint64_t mix_key(std::uint64_t h, std::uint64_t value) {
 
 std::array<double, 3> cache_numeric_record(
     std::uint64_t key, const std::function<std::array<double, 3>()>& compute) {
-  {
-    CharacterizationCache& c = cache();
-    const std::lock_guard<std::mutex> lock(c.mutex);
-    const auto it = c.numeric.find(key);
-    if (it != c.numeric.end()) {
-      ++c.hits;
-      count_cache_probe(true);
-      return it->second;
-    }
-    ++c.misses;
-    count_cache_probe(false);
-  }
-  const std::array<double, 3> record = compute();
-  CharacterizationCache& c = cache();
-  const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.numeric.emplace(key, record).first->second;
+  return memoized(&CharacterizationCache::numeric, key, compute);
 }
 
 }  // namespace detail

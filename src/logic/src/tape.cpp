@@ -4,9 +4,9 @@
 #include <mutex>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 
 #include "axc/common/bits.hpp"
+#include "axc/common/lru_map.hpp"
 #include "axc/common/require.hpp"
 #include "axc/logic/tape_engine.hpp"
 #include "axc/obs/obs.hpp"
@@ -22,7 +22,8 @@ std::string diag(const Netlist& netlist, const std::string& what) {
 /// One process-wide memo for compiled tapes, keyed by structural hash.
 struct TapeCache {
   std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const Tape>> tapes;
+  LruMap<std::uint64_t, std::shared_ptr<const Tape>, kCompileCacheCapacity>
+      tapes;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
@@ -46,6 +47,13 @@ void count_compile_probe(bool hit) {
   static obs::Counter& hits = obs::counter("logic.compile.hits");
   static obs::Counter& misses = obs::counter("logic.compile.misses");
   (hit ? hits : misses).add();
+}
+
+/// Shape check: a 64-bit hash collision must degrade to a fresh compile,
+/// never to executing the wrong tape.
+bool shape_matches(const Tape& tape, const Netlist& netlist) {
+  return tape.slot_count == netlist.net_count() &&
+         tape.ops.size() == netlist.gate_count();
 }
 
 std::shared_ptr<const Tape> build_tape(const Netlist& netlist) {
@@ -233,20 +241,21 @@ Levelization levelize(const Netlist& netlist) {
 }
 
 std::shared_ptr<const Tape> compile_netlist(const Netlist& netlist) {
-  const std::uint64_t key = netlist.structural_hash();
+  return detail::compile_netlist_keyed(netlist, netlist.structural_hash());
+}
+
+namespace detail {
+
+std::shared_ptr<const Tape> compile_netlist_keyed(const Netlist& netlist,
+                                                  std::uint64_t key) {
   {
     TapeCache& c = cache();
     const std::lock_guard<std::mutex> lock(c.mutex);
-    const auto it = c.tapes.find(key);
-    if (it != c.tapes.end()) {
-      // Shape check: a 64-bit hash collision must degrade to a fresh
-      // compile, never to executing the wrong tape.
-      if (it->second->slot_count == netlist.net_count() &&
-          it->second->ops.size() == netlist.gate_count()) {
-        ++c.hits;
-        count_compile_probe(true);
-        return it->second;
-      }
+    const std::shared_ptr<const Tape>* cached = c.tapes.find(key);
+    if (cached != nullptr && shape_matches(**cached, netlist)) {
+      ++c.hits;
+      count_compile_probe(true);
+      return *cached;
     }
     ++c.misses;
     count_compile_probe(false);
@@ -254,8 +263,13 @@ std::shared_ptr<const Tape> compile_netlist(const Netlist& netlist) {
   std::shared_ptr<const Tape> tape = build_tape(netlist);
   TapeCache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.tapes.emplace(key, std::move(tape)).first->second;
+  const std::shared_ptr<const Tape>& stored = c.tapes.insert(key, tape);
+  // On a collision the colliding netlist keeps the slot and this tape
+  // goes back uncached.
+  return shape_matches(*stored, netlist) ? stored : tape;
 }
+
+}  // namespace detail
 
 void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
                          unsigned lanes, std::span<std::uint64_t> words) {
@@ -283,7 +297,7 @@ void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
 CompileCacheStats compile_cache_stats() {
   TapeCache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);
-  return {c.hits, c.misses};
+  return {c.hits, c.misses, c.tapes.size()};
 }
 
 void clear_compile_cache() {

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "axc/accel/sad_tree.hpp"
 #include "axc/common/require.hpp"
 
 namespace axc::resilience {
@@ -39,7 +40,7 @@ GearSad::GearSad(unsigned block_pixels, const arith::GeArConfig& base,
       base_(base),
       corrections_(correction_iterations),
       subtractor_(make_adder(base, kPixelBits, correction_iterations)) {
-  AXC_REQUIRE(block_pixels >= 2 && block_pixels <= 4096 &&
+  AXC_REQUIRE(block_pixels >= 2 && block_pixels <= accel::kMaxBlockPixels &&
                   std::has_single_bit(block_pixels),
               "GearSad: block_pixels must be a power of two in [2, 4096]");
   AXC_REQUIRE(base.is_valid() && base.n == kPixelBits,
@@ -58,19 +59,8 @@ std::uint64_t GearSad::sad(std::span<const std::uint8_t> a,
                            std::span<const std::uint8_t> b) const {
   AXC_REQUIRE(a.size() == block_pixels_ && b.size() == a.size(),
               "GearSad::sad: block size mismatch");
-  std::vector<std::uint64_t> values(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    values[i] = arith::abs_diff_via(subtractor_, a[i], b[i]);
-  }
-  // Binary reduction; level adders carry one extra output bit per level.
-  for (const arith::GeArAdder& adder : tree_adders_) {
-    const std::size_t half = values.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      values[i] = adder.add(values[2 * i], values[2 * i + 1], 0);
-    }
-    values.resize(half);
-  }
-  return values.front();
+  return accel::detail::sad_tree<arith::GeArAdder>(a, b, subtractor_,
+                                                   tree_adders_);
 }
 
 std::string GearSad::name() const {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "axc/common/rng.hpp"
 
@@ -96,6 +98,74 @@ TEST(SadAccelerator, BlockSizeMismatchRejected) {
   const std::vector<std::uint8_t> right(64, 0);
   EXPECT_THROW(sad.sad(wrong, right), std::invalid_argument);
 }
+
+/// SAD through arith::ripple_add_reference alone: the Sec. 6 structure (two
+/// subtracts and the borrow mux per pixel, then a binary adder tree one bit
+/// wider per level) written out independently of SadAccelerator.
+std::uint64_t reference_ripple_sad(const SadConfig& config,
+                                   std::span<const std::uint8_t> a,
+                                   std::span<const std::uint8_t> b) {
+  const auto cells = [&](unsigned width) {
+    std::vector<FullAdderKind> layout(width, FullAdderKind::Accurate);
+    std::fill_n(layout.begin(), std::min(config.approx_lsbs, width),
+                config.cell);
+    return layout;
+  };
+  const std::vector<FullAdderKind> subtractor = cells(8);
+  std::vector<std::uint64_t> values;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::uint64_t forward =
+        arith::ripple_add_reference(subtractor, a[i], ~b[i] & 0xFFu, 1);
+    const std::uint64_t backward =
+        arith::ripple_add_reference(subtractor, b[i], ~a[i] & 0xFFu, 1);
+    values.push_back(((forward >> 8) & 1u ? forward : backward) & 0xFFu);
+  }
+  for (unsigned width = 8; values.size() > 1; ++width) {
+    const std::vector<FullAdderKind> level = cells(width);
+    std::vector<std::uint64_t> next;
+    for (std::size_t i = 0; i + 1 < values.size(); i += 2) {
+      next.push_back(
+          arith::ripple_add_reference(level, values[i], values[i + 1], 0));
+    }
+    values = std::move(next);
+  }
+  return values.front();
+}
+
+class SadAgainstRippleReference
+    : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SadAgainstRippleReference, EveryFig9ConfigMatches) {
+  const unsigned block = GetParam();
+  std::vector<SadConfig> configs = {accu_sad(block)};
+  for (int variant = 1; variant <= 5; ++variant) {
+    for (const unsigned lsbs : {2u, 4u, 6u}) {
+      configs.push_back(apx_sad_variant(variant, lsbs, block));
+    }
+  }
+  ASSERT_EQ(configs.size(), 16u);
+  constexpr std::size_t kCandidates = 3;
+  axc::Rng rng(block);
+  std::vector<std::uint8_t> a(block);
+  std::vector<std::uint8_t> candidates(kCandidates * block);
+  for (const SadConfig& config : configs) {
+    const SadAccelerator sad(config);
+    for (auto& px : a) px = static_cast<std::uint8_t>(rng.bits(8));
+    for (auto& px : candidates) px = static_cast<std::uint8_t>(rng.bits(8));
+    std::vector<std::uint64_t> batch(kCandidates);
+    sad.sad_batch(a, candidates, batch);
+    for (std::size_t c = 0; c < kCandidates; ++c) {
+      const std::span<const std::uint8_t> b(candidates.data() + c * block,
+                                            block);
+      const std::uint64_t want = reference_ripple_sad(config, a, b);
+      EXPECT_EQ(sad.sad(a, b), want) << config.name();
+      EXPECT_EQ(batch[c], want) << config.name();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockSizes, SadAgainstRippleReference,
+                         ::testing::Values(4u, 16u, 64u, 256u, 4096u));
 
 }  // namespace
 }  // namespace axc::accel

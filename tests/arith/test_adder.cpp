@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "axc/common/bits.hpp"
 #include "axc/common/rng.hpp"
 
@@ -149,6 +154,175 @@ TEST(AbsDiffVia, ApproximateAdderStaysClose) {
     const std::uint64_t err =
         approx > exact ? approx - exact : exact - approx;
     EXPECT_LE(err, 16u) << a << " " << b;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The compiled adder against the per-bit reference loop.
+
+/// Whether \p adder.add equals ripple_add_reference on one input triple.
+/// Bits above the width and above bit 0 of the carry are garbage the
+/// reference ignores.
+::testing::AssertionResult matches_reference(const RippleAdder& adder,
+                                             std::uint64_t a, std::uint64_t b,
+                                             unsigned carry_in) {
+  const std::uint64_t got = adder.add(a, b, carry_in);
+  const std::uint64_t want =
+      ripple_add_reference(adder.cells(), a, b, carry_in);
+  if (got == want) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << adder.name() << " a=" << a << " b=" << b << " cin=" << carry_in
+         << ": " << got << " != reference " << want;
+}
+
+/// Garbage for the bits at and above \p width.
+std::uint64_t junk_above(Rng& rng, unsigned width) {
+  return rng() << width;
+}
+
+constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+
+/// A random carry-in word: bit 0 is the carry, the rest is garbage.
+unsigned random_carry(Rng& rng) { return static_cast<unsigned>(rng()); }
+
+class CompiledRippleAdder : public ::testing::TestWithParam<FullAdderKind> {};
+
+// Exhaustive over a, b and cin for widths 1-8 and every k. The reference
+// costs ~20 ns per bit, so widths 9-12 exhaustively would take minutes;
+// they are in the seeded sweep below.
+TEST_P(CompiledRippleAdder, EqualsReferenceExhaustivelyUpToWidth8) {
+  const FullAdderKind kind = GetParam();
+  Rng rng(static_cast<std::uint64_t>(kind) + 11);
+  for (unsigned width = 1; width <= 8; ++width) {
+    for (unsigned k = 0; k <= width; ++k) {
+      const RippleAdder adder = RippleAdder::lsb_approximated(width, kind, k);
+      const std::uint64_t junk_a = junk_above(rng, width);
+      const std::uint64_t junk_b = junk_above(rng, width);
+      for (std::uint64_t a = 0; a < (std::uint64_t{1} << width); ++a) {
+        for (std::uint64_t b = 0; b < (std::uint64_t{1} << width); ++b) {
+          for (unsigned cin = 0; cin < 2; ++cin) {
+            ASSERT_TRUE(matches_reference(adder, a | junk_a, b | junk_b,
+                                          cin | static_cast<unsigned>(a << 1)));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(CompiledRippleAdder, EqualsReferenceOnSeededInputsUpToWidth63) {
+  const FullAdderKind kind = GetParam();
+  Rng rng(static_cast<std::uint64_t>(kind) + 101);
+  for (unsigned width = 9; width <= 63; ++width) {
+    for (unsigned k = 0; k <= width; ++k) {
+      const RippleAdder adder = RippleAdder::lsb_approximated(width, kind, k);
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_TRUE(matches_reference(adder, rng(), rng(), random_carry(rng)));
+      }
+      // All-ones operands push a carry through every cell.
+      ASSERT_TRUE(matches_reference(adder, kOnes, kOnes, 1));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, CompiledRippleAdder, ::testing::ValuesIn(kAllFullAdderKinds),
+    [](const ::testing::TestParamInfo<FullAdderKind>& info) {
+      return std::string(full_adder_name(info.param));
+    });
+
+TEST(CompiledRippleAdder, FullWidthApproximationHasNoUndefinedShift) {
+  // k = width = 63: sixteen chunks, the last one padded past the width.
+  for (const FullAdderKind kind : kAllFullAdderKinds) {
+    const RippleAdder adder = RippleAdder::lsb_approximated(63, kind, 63);
+    Rng rng(63);
+    for (int i = 0; i < 4096; ++i) {
+      ASSERT_TRUE(matches_reference(adder, rng(), rng(), random_carry(rng)));
+    }
+    ASSERT_TRUE(matches_reference(adder, kOnes, kOnes, 1));
+    ASSERT_TRUE(matches_reference(adder, 0, 0, 0));
+  }
+}
+
+TEST(CompiledRippleAdder, MixedNonPrefixLayoutsEqualReference) {
+  Rng rng(2024);
+  for (int layout = 0; layout < 400; ++layout) {
+    const unsigned width = 1 + static_cast<unsigned>(rng.below(63));
+    std::vector<FullAdderKind> cells(width);
+    for (FullAdderKind& cell : cells) {
+      // Accurate cells inside the approximate region, approximate cells
+      // high up, and everything between.
+      cell = kAllFullAdderKinds[rng.below(kFullAdderKindCount)];
+    }
+    const RippleAdder adder(cells);
+    EXPECT_EQ(adder.is_exact(),
+              std::all_of(cells.begin(), cells.end(), [](FullAdderKind k) {
+                return k == FullAdderKind::Accurate;
+              }));
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_TRUE(matches_reference(adder, rng(), rng(), random_carry(rng)));
+    }
+  }
+  // Exhaustive on two hand-picked 8-bit layouts: accurate cells between
+  // approximate ones, and one approximate cell at the MSB.
+  const std::vector<std::vector<FullAdderKind>> layouts = {
+      {FullAdderKind::Apx3, FullAdderKind::Accurate, FullAdderKind::Apx1,
+       FullAdderKind::Accurate, FullAdderKind::Accurate, FullAdderKind::Apx5,
+       FullAdderKind::Accurate, FullAdderKind::Accurate},
+      {FullAdderKind::Accurate, FullAdderKind::Accurate,
+       FullAdderKind::Accurate, FullAdderKind::Accurate,
+       FullAdderKind::Accurate, FullAdderKind::Accurate,
+       FullAdderKind::Accurate, FullAdderKind::Apx4},
+  };
+  for (const auto& cells : layouts) {
+    const RippleAdder adder(cells);
+    for (std::uint64_t a = 0; a < 256; ++a) {
+      for (std::uint64_t b = 0; b < 256; ++b) {
+        ASSERT_TRUE(matches_reference(adder, a, b, 0));
+        ASSERT_TRUE(matches_reference(adder, a, b, 1));
+      }
+    }
+  }
+}
+
+TEST(CompiledRippleAdder, ConcurrentConstructionSharesCorrectTables) {
+  // Every thread builds the same adders at once, racing on the table
+  // intern; each must still equal the reference.
+  constexpr int kThreads = 8;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &failures] {
+      Rng rng(static_cast<std::uint64_t>(t));
+      for (const FullAdderKind kind : kAllFullAdderKinds) {
+        for (unsigned width = 1; width <= 16; ++width) {
+          for (unsigned k = 0; k <= width; ++k) {
+            const RippleAdder adder =
+                RippleAdder::lsb_approximated(width, kind, k);
+            for (int i = 0; i < 16; ++i) {
+              const std::uint64_t a = rng();
+              const std::uint64_t b = rng();
+              const unsigned cin = static_cast<unsigned>(rng() & 1u);
+              failures[t] += adder.add(a, b, cin) !=
+                             ripple_add_reference(adder.cells(), a, b, cin);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
+}
+
+TEST(AbsDiffVia, ConcreteAndVirtualCallsAgree) {
+  const RippleAdder ripple =
+      RippleAdder::lsb_approximated(8, FullAdderKind::Apx2, 4);
+  const Adder& virtual_view = ripple;
+  for (unsigned a = 0; a < 256; ++a) {
+    for (unsigned b = 0; b < 256; ++b) {
+      ASSERT_EQ(abs_diff_via(ripple, a, b), abs_diff_via(virtual_view, a, b));
+    }
   }
 }
 

@@ -125,6 +125,39 @@ TEST(CharacterizationCache, IdenticalRebuildsHitDifferentConfigsMiss) {
   EXPECT_EQ(after_variants.misses, 4u);
 }
 
+TEST(CharacterizationCache, BoundedAndIdenticalOnHitMissAndReMiss) {
+  clear_characterization_cache();
+  const Netlist nl = full_adder_netlist(FullAdderKind::Apx2);
+  const auto run = [&](std::uint64_t seed) {
+    return characterize(nl, std::nullopt, 64, seed);
+  };
+  const Characterization first = run(0);
+  // Capacity more distinct keys (seeds) push the first record out.
+  for (std::uint64_t seed = 1; seed <= kCharacterizationCacheCapacity;
+       ++seed) {
+    run(seed);
+    ASSERT_LE(characterization_cache_stats().entries,
+              kCharacterizationCacheCapacity);
+  }
+  EXPECT_EQ(characterization_cache_stats().hits, 0u);
+  const auto same = [&](const Characterization& c) {
+    return c.name == first.name && c.area_ge == first.area_ge &&
+           c.power_nw == first.power_nw && c.gate_count == first.gate_count &&
+           c.error_cases == first.error_cases &&
+           c.max_error == first.max_error &&
+           c.input_space == first.input_space;
+  };
+  const auto before = characterization_cache_stats();
+  EXPECT_TRUE(same(run(0)));  // re-miss: recomputed
+  const auto after_remiss = characterization_cache_stats();
+  EXPECT_EQ(after_remiss.misses, before.misses + 1);
+  EXPECT_TRUE(same(run(0)));  // hit
+  EXPECT_EQ(characterization_cache_stats().hits, before.hits + 1);
+  EXPECT_EQ(characterization_cache_stats().entries,
+            kCharacterizationCacheCapacity);
+  clear_characterization_cache();
+}
+
 TEST(CharacterizationCache, TruthTableMemoizedOnStructuralHash) {
   clear_characterization_cache();
   const TruthTable a =

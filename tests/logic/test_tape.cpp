@@ -189,6 +189,68 @@ TEST(TapeCompile, CacheHitsMissesAndObsCounters) {
   EXPECT_EQ(first->ops.size(), nl.gate_count());
 }
 
+/// A chain of \p length inverters: distinct lengths are distinct
+/// structures, so the test can make as many cache keys as it needs.
+Netlist inverter_chain(std::size_t length) {
+  Netlist nl("chain" + std::to_string(length));
+  NetId net = nl.add_input("x");
+  for (std::size_t i = 0; i < length; ++i) {
+    net = nl.add_gate(CellType::Inv, net);
+  }
+  nl.mark_output(net, "y");
+  return nl;
+}
+
+bool same_ops(const Tape& a, const Tape& b) {
+  return std::equal(a.ops.begin(), a.ops.end(), b.ops.begin(), b.ops.end(),
+                    [](const TapeOp& x, const TapeOp& y) {
+                      return x.in0 == y.in0 && x.in1 == y.in1 &&
+                             x.in2 == y.in2 && x.out == y.out;
+                    });
+}
+
+TEST(TapeCompile, CacheIsBoundedAndRecompilesIdentically) {
+  clear_compile_cache();
+  const auto first = compile_netlist(inverter_chain(1));
+  for (std::size_t length = 2; length <= kCompileCacheCapacity + 1;
+       ++length) {
+    compile_netlist(inverter_chain(length));
+    ASSERT_LE(compile_cache_stats().entries, kCompileCacheCapacity);
+  }
+  const CompileCacheStats full = compile_cache_stats();
+  EXPECT_EQ(full.entries, kCompileCacheCapacity);
+  EXPECT_EQ(full.misses, kCompileCacheCapacity + 1);
+
+  // The first tape was evicted: a re-miss compiles an identical tape.
+  const auto again = compile_netlist(inverter_chain(1));
+  EXPECT_EQ(compile_cache_stats().misses, kCompileCacheCapacity + 2);
+  EXPECT_NE(again.get(), first.get());
+  EXPECT_TRUE(same_ops(*again, *first));
+  EXPECT_EQ(again->slot_count, first->slot_count);
+  // ... and is cached again.
+  EXPECT_EQ(compile_netlist(inverter_chain(1)).get(), again.get());
+  EXPECT_EQ(compile_cache_stats().entries, kCompileCacheCapacity);
+  clear_compile_cache();
+}
+
+TEST(TapeCompile, KeyCollisionCompilesFreshAndKeepsTheSlot) {
+  clear_compile_cache();
+  constexpr std::uint64_t kKey = 0xC0111DE;
+  const Netlist short_chain = inverter_chain(3);
+  const Netlist long_chain = inverter_chain(5);
+  const auto cached = detail::compile_netlist_keyed(short_chain, kKey);
+  // Same key, different shape: the shape check turns the hit into a fresh
+  // compile of the right netlist, returned uncached.
+  const auto fresh = detail::compile_netlist_keyed(long_chain, kKey);
+  EXPECT_EQ(fresh->ops.size(), long_chain.gate_count());
+  EXPECT_TRUE(same_ops(*fresh, *compile_netlist(long_chain)));
+  EXPECT_EQ(detail::compile_netlist_keyed(short_chain, kKey).get(),
+            cached.get());
+  EXPECT_NE(detail::compile_netlist_keyed(long_chain, kKey).get(),
+            fresh.get());
+  clear_compile_cache();
+}
+
 // ---------------------------------------------------------------------------
 // Engine equivalence against the scalar reference.
 //
