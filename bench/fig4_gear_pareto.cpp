@@ -3,15 +3,15 @@
 /// plus the Pareto front and the constraint query discussed in the text.
 #include <iostream>
 
-#include "axc/core/explorer.hpp"
 #include "axc/core/pareto.hpp"
+#include "axc/designspace/explorer.hpp"
 #include "bench_util.hpp"
 
 int main() {
   using namespace axc;
   bench::banner("Fig. 4", "Area/accuracy design space, 11-bit GeAr adder");
 
-  const auto space = core::explore_gear_space(11);
+  const auto space = designspace::explore_gear_space(11, 1, false);
   std::vector<bench::ScatterPoint> points;
   points.reserve(space.size());
   for (const auto& entry : space) {
@@ -22,22 +22,18 @@ int main() {
   std::cout << "\nScatter (digit = R of the configuration):\n";
   bench::ascii_scatter(std::cout, points, "area [GE]", "accuracy [%]");
 
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-  const auto front =
-      core::pareto_front(flat, {core::minimize_area(), core::minimize_error()});
+  const core::Ranking ranking = core::rank_space(space, 90.0);
   Table table({"Pareto-optimal config", "Area [GE]", "Accuracy %"});
-  for (const std::size_t i : front) {
-    table.add_row({flat[i].name, fmt(flat[i].area_ge, 1),
-                   fmt(flat[i].accuracy_percent, 3)});
+  for (const std::size_t i : ranking.pareto_front) {
+    const core::DesignPoint& point = space[i].point;
+    table.add_row({point.name, fmt(point.area_ge, 1),
+                   fmt(point.accuracy_percent, 3)});
   }
   std::cout << "\nPareto front (min area, max accuracy):\n";
   table.print(std::cout);
 
-  const std::size_t pick = core::min_area_config_with_accuracy(space, 90.0);
   std::cout << "\nConstraint query \"lowest-area config with >= 90% "
                "accuracy\" -> "
-            << space[pick].point.name << " (paper discusses GeAr(R=3,P=5))\n";
+            << space[ranking.min_area_index].point.name << " (paper discusses GeAr(R=3,P=5))\n";
   return 0;
 }

@@ -868,11 +868,11 @@ KernelResult service_concurrency_kernel(std::size_t conns, unsigned depth,
   return result;
 }
 
-/// The three axc::designspace endpoints as a served workload: a batch of
-/// hetero-adder, compressor-multiplier and static-adder sweeps through the
-/// loopback server, cold (result cache and characterization memo cleared,
-/// every sweep computes its analytic models and characterizes its
-/// netlists) vs warm (the same batch replayed out of the response cache).
+/// The four axc::designspace endpoints as a served workload: a batch of
+/// hetero-adder, compressor-multiplier, static-adder and GeAr sweeps
+/// through the loopback server, cold (result cache and characterization
+/// memo cleared, every sweep computes its analytic models and
+/// characterizes its netlists) vs warm (the same batch replayed out of the response cache).
 /// Before timing, the cold batch is computed twice and byte-compared —
 /// the design-space responses are the cluster tier's replication payload,
 /// so any nondeterminism here aborts the bench.
@@ -902,6 +902,10 @@ KernelResult design_space_sweep_kernel(unsigned workers, bool smoke,
     stat.max_approx_lsbs = 6;
     requests.push_back(svc::encode_request(stat));
   }
+  svc::GearDesignSpaceRequest gear;
+  gear.width = 11;
+  gear.estimate_power = true;
+  requests.push_back(svc::encode_request(gear));
 
   svc::ServerOptions options;
   options.workers = workers;

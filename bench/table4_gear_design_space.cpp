@@ -6,7 +6,8 @@
 /// The two selection queries quoted in the text are answered at the end.
 #include <iostream>
 
-#include "axc/core/explorer.hpp"
+#include "axc/core/pareto.hpp"
+#include "axc/designspace/explorer.hpp"
 #include "axc/error/evaluate.hpp"
 #include "axc/error/gear_model.hpp"
 #include "bench_util.hpp"
@@ -15,7 +16,7 @@ int main() {
   using namespace axc;
   bench::banner("Table IV", "11-bit GeAr design space: accuracy & area");
 
-  const auto space = core::explore_gear_space(11);
+  const auto space = designspace::explore_gear_space(11, 1, false);
   Table table({"Config", "R", "P", "k", "Accuracy % (model)",
                "Accuracy % (exhaustive)", "Area [GE]"});
   for (const auto& entry : space) {
@@ -32,12 +33,13 @@ int main() {
   }
   table.print(std::cout);
 
-  const std::size_t best_acc = core::max_accuracy_config(space);
-  const std::size_t best_area = core::min_area_config_with_accuracy(space, 90.0);
+  const core::Ranking ranking = core::rank_space(space, 90.0);
   std::cout << "\nSelection queries from the paper's text:\n"
-            << "  max accuracy           -> " << space[best_acc].point.name
+            << "  max accuracy           -> "
+            << space[ranking.max_accuracy_index].point.name
             << "  (paper: GeAr(R=1,P=9))\n"
-            << "  min area, >= 90%% acc  -> " << space[best_area].point.name
+            << "  min area, >= 90%% acc  -> "
+            << space[ranking.min_area_index].point.name
             << "  (paper: GeAr(R=3,P=5); our GE area model also admits\n"
             << "   GeAr(R=4,P=3) — see EXPERIMENTS.md)\n";
   return 0;

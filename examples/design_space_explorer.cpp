@@ -5,11 +5,13 @@
 /// and closes the cross-layer loop: the cheapest sweep winner is widened
 /// to accumulator width, dropped into the video encoder's SAD unit, and
 /// compared against the exact path on PSNR and bitrate.
+#include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "axc/accel/sad.hpp"
 #include "axc/common/table.hpp"
-#include "axc/core/explorer.hpp"
 #include "axc/core/pareto.hpp"
 #include "axc/designspace/explorer.hpp"
 #include "axc/video/encoder.hpp"
@@ -53,6 +55,34 @@ axc::video::EncodeStats encode_with(const axc::accel::SadUnit& sad) {
   return axc::video::Encoder(ec, sad).encode(sequence);
 }
 
+/// Prints a swept \p space as one table row per configuration (config,
+/// area, accuracy, the family's \p extra_columns filled by \p extra, and
+/// "*" on the area/error Pareto front); returns its ranking.
+template <class Space, class Extra>
+axc::core::Ranking print_space(const Space& space, double min_accuracy,
+                               const std::vector<std::string>& extra_columns,
+                               Extra extra) {
+  const axc::core::Ranking ranking =
+      axc::core::rank_space(space, min_accuracy);
+  std::vector<std::string> header = {"Config", "Area [GE]", "Accuracy %"};
+  header.insert(header.end(), extra_columns.begin(), extra_columns.end());
+  header.push_back("Pareto");
+  axc::Table table(std::move(header));
+  const auto& front = ranking.pareto_front;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const axc::core::DesignPoint& point = space[i].point;
+    std::vector<std::string> row = {point.name, axc::fmt(point.area_ge, 1),
+                                    axc::fmt(point.accuracy_percent, 3)};
+    extra(row, space[i]);
+    const bool on_front =
+        std::find(front.begin(), front.end(), i) != front.end();
+    row.push_back(on_front ? "*" : "");
+    table.add_row(std::move(row));
+  }
+  table.print(std::cout);
+  return ranking;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,36 +103,26 @@ int main(int argc, char** argv) {
                 : 90.0;
 
   std::cout << "Exploring the " << width << "-bit GeAr space (P >= 1)\n\n";
-  const auto space = core::explore_gear_space(width);
-
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-  const auto front =
-      core::pareto_front(flat, {core::minimize_area(), core::minimize_error()});
-
-  Table table({"Config", "Area [GE]", "Accuracy %", "Pareto"});
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    const bool on_front =
-        std::find(front.begin(), front.end(), i) != front.end();
-    table.add_row({flat[i].name, fmt(flat[i].area_ge, 1),
-                   fmt(flat[i].accuracy_percent, 3), on_front ? "*" : ""});
+  const auto space = designspace::explore_gear_space(width, 1, false);
+  const core::Ranking gear =
+      print_space(space, min_accuracy, {}, [](auto&, const auto&) {});
+  if (gear.max_accuracy_index == space.size()) {
+    std::cout << "\nNo approximate GeAr configuration at width " << width
+              << ".\n";
+  } else {
+    const core::DesignPoint& best = space[gear.max_accuracy_index].point;
+    std::cout << "\nHighest accuracy: " << best.name << " ("
+              << fmt(best.accuracy_percent, 3) << "%)\n";
   }
-  table.print(std::cout);
-
-  const std::size_t best_acc = core::max_accuracy_config(space);
-  std::cout << "\nHighest accuracy: " << flat[best_acc].name << " ("
-            << fmt(flat[best_acc].accuracy_percent, 3) << "%)\n";
-  const std::size_t pick =
-      core::min_area_config_with_accuracy(space, min_accuracy);
-  if (pick == space.size()) {
+  if (gear.min_area_index == space.size()) {
     std::cout << "No configuration reaches " << min_accuracy
               << "% accuracy — the exact adder (L = N) is the only option.\n";
   } else {
+    const core::DesignPoint& pick = space[gear.min_area_index].point;
     std::cout << "Cheapest config with >= " << min_accuracy
-              << "% accuracy: " << flat[pick].name << " ("
-              << fmt(flat[pick].area_ge, 1) << " GE, "
-              << fmt(flat[pick].accuracy_percent, 3) << "%)\n";
+              << "% accuracy: " << pick.name << " ("
+              << fmt(pick.area_ge, 1) << " GE, "
+              << fmt(pick.accuracy_percent, 3) << "%)\n";
   }
 
   // --- Phase 2: heterogeneous block adders, logic to architecture -------
@@ -111,38 +131,20 @@ int main(int argc, char** argv) {
   const unsigned block_width = std::min(4u, width);
   const auto hetero =
       designspace::explore_hetero_space(width, block_width, true);
-
-  Table htable({"Config", "Area [GE]", "Accuracy %", "MED", "Pareto"});
-  std::vector<core::DesignPoint> hflat;
-  hflat.reserve(hetero.size());
-  for (const auto& entry : hetero) hflat.push_back(entry.point);
-  const auto hfront = core::pareto_front(
-      hflat, {core::minimize_area(), core::minimize_error()});
-  for (std::size_t i = 0; i < hetero.size(); ++i) {
-    const bool on_front =
-        std::find(hfront.begin(), hfront.end(), i) != hfront.end();
-    htable.add_row({hflat[i].name, fmt(hflat[i].area_ge, 1),
-                    fmt(hflat[i].accuracy_percent, 3),
-                    fmt(hetero[i].model.med, 4), on_front ? "*" : ""});
-  }
-  htable.print(std::cout);
-
-  std::size_t hpick = hetero.size();
-  for (std::size_t i = 0; i < hetero.size(); ++i) {
-    if (hflat[i].accuracy_percent < min_accuracy) continue;
-    if (hpick == hetero.size() ||
-        hflat[i].area_ge < hflat[hpick].area_ge) {
-      hpick = i;
-    }
-  }
+  const std::size_t hpick =
+      print_space(hetero, min_accuracy, {"MED"},
+                  [](std::vector<std::string>& row, const auto& entry) {
+                    row.push_back(fmt(entry.model.med, 4));
+                  })
+          .min_area_index;
   if (hpick == hetero.size()) {
     std::cout << "\nNo heterogeneous configuration reaches " << min_accuracy
               << "% accuracy; skipping the encoder wiring.\n";
     return 0;
   }
   std::cout << "\nCheapest hetero config with >= " << min_accuracy
-            << "% accuracy: " << hflat[hpick].name << " ("
-            << fmt(hflat[hpick].area_ge, 1) << " GE)\n";
+            << "% accuracy: " << hetero[hpick].point.name << " ("
+            << fmt(hetero[hpick].point.area_ge, 1) << " GE)\n";
 
   // Widen the winner to SAD-accumulator width (8x8 blocks accumulate up
   // to 64 * 255 < 2^16) and encode the same sequence both ways. An
@@ -155,7 +157,8 @@ int main(int argc, char** argv) {
       if (hetero[i].low_kind == designspace::HeteroSubAdder::CarryCut &&
           hetero[i].approx_blocks == 1) {
         demo = i;
-        std::cout << "Winner is the exact adder; wiring " << hflat[i].name
+        std::cout << "Winner is the exact adder; wiring "
+                  << hetero[i].point.name
                   << " (MED " << fmt(hetero[i].model.med, 2)
                   << ") into the encoder instead.\n";
         break;

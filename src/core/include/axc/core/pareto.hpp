@@ -1,6 +1,7 @@
 /// \file pareto.hpp
-/// Pareto-front extraction over design points (the "Design Space
-/// Exploration: Pareto-optimal points" box of Fig. 7).
+/// Pareto-front extraction and selection over design points (the "Design
+/// Space Exploration: Pareto-optimal points" box of Fig. 7). Every swept
+/// space (designspace/explorer.hpp) is ranked through rank_space.
 #pragma once
 
 #include <functional>
@@ -26,11 +27,30 @@ std::vector<std::size_t> pareto_front(
     const std::vector<DesignPoint>& points,
     const std::vector<Objective>& objectives);
 
-/// Constraint-driven selection (the Table IV / Fig. 4 use case): among the
-/// points with accuracy_percent >= \p min_accuracy, returns the index of
-/// the one minimizing \p objective, or points.size() if none qualifies.
-std::size_t select_min_objective(const std::vector<DesignPoint>& points,
-                                 double min_accuracy,
-                                 const Objective& objective);
+/// The selection step of Fig. 7 over one swept space: the area/error
+/// Pareto front plus the two queries of Table IV / Fig. 4. Indices point
+/// into the ranked points; an index equal to their count means none
+/// (empty space) or infeasible (nothing meets the accuracy floor).
+struct Ranking {
+  std::vector<std::size_t> pareto_front;  ///< {area, error}, input order
+  std::size_t max_accuracy_index = 0;     ///< first maximum of accuracy
+  std::size_t min_area_index = 0;  ///< first minimum area at >= the floor
+};
+
+/// Ranks \p points: pareto_front under {minimize_area, minimize_error},
+/// the highest-accuracy point, and the smallest-area point with
+/// accuracy_percent >= \p min_accuracy.
+Ranking rank_points(const std::vector<DesignPoint>& points,
+                    double min_accuracy);
+
+/// rank_points over a swept space whose entries carry a DesignPoint
+/// `point` (the designspace sweep entries).
+template <class Space>
+Ranking rank_space(const Space& space, double min_accuracy) {
+  std::vector<DesignPoint> points;
+  points.reserve(space.size());
+  for (const auto& entry : space) points.push_back(entry.point);
+  return rank_points(points, min_accuracy);
+}
 
 }  // namespace axc::core

@@ -49,17 +49,23 @@ std::vector<std::size_t> pareto_front(
   return front;
 }
 
-std::size_t select_min_objective(const std::vector<DesignPoint>& points,
-                                 double min_accuracy,
-                                 const Objective& objective) {
-  std::size_t best = points.size();
+Ranking rank_points(const std::vector<DesignPoint>& points,
+                    double min_accuracy) {
+  const std::size_t none = points.size();
+  std::size_t best_accuracy = none;
+  std::size_t best_area = none;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].accuracy_percent < min_accuracy) continue;
-    if (best == points.size() || objective(points[i]) < objective(points[best])) {
-      best = i;
+    if (best_accuracy == none ||
+        points[i].accuracy_percent > points[best_accuracy].accuracy_percent) {
+      best_accuracy = i;
+    }
+    if (points[i].accuracy_percent >= min_accuracy &&
+        (best_area == none || points[i].area_ge < points[best_area].area_ge)) {
+      best_area = i;
     }
   }
-  return best;
+  return {pareto_front(points, {minimize_area(), minimize_error()}),
+          best_accuracy, best_area};
 }
 
 }  // namespace axc::core

@@ -1,8 +1,10 @@
 /// \file explorer.hpp
-/// Design-space sweeps over the three generator families: enumerate a
-/// configuration grid, characterize every point (area from the netlist,
-/// optional toggle/energy via the tape engine, accuracy from the analytic
-/// error model), and mark the area/error Pareto front. The sweeps are
+/// Design-space sweeps over the four adder/multiplier families (GeAr and
+/// the three generator families): enumerate a configuration grid and
+/// characterize every point (area from the netlist, optional
+/// toggle/energy via the tape engine, accuracy from the analytic error
+/// model); core::rank_space then marks the area/error Pareto front and
+/// answers the selection queries. The sweeps are
 /// deterministic — same grid, same order, same numbers on every run and at
 /// any thread count — which is what lets the service layer cache and
 /// replicate their responses byte-identically.
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "axc/accel/sad_unit.hpp"
+#include "axc/arith/gear.hpp"
 #include "axc/core/design_point.hpp"
 #include "axc/designspace/compressor_mul.hpp"
 #include "axc/designspace/hetero_adder.hpp"
@@ -20,15 +23,31 @@
 
 namespace axc::designspace {
 
-/// Common sweep knobs. Power characterization simulates `vectors` random
-/// input vectors on the tape engine (memoized process-wide by structural
-/// hash); with estimate_power off, power_nw stays 0 and the sweep is
-/// purely analytic + structural.
+/// Power characterization simulates kSweepPowerVectors random input
+/// vectors drawn from kSweepPowerSeed on the tape engine (memoized
+/// process-wide by structural hash), exactly as logic::characterize does
+/// for a single netlist.
+inline constexpr std::uint64_t kSweepPowerVectors = 1024;
+inline constexpr std::uint64_t kSweepPowerSeed = 1;
+
+/// Common sweep knobs. With estimate_power off, power_nw stays 0 and the
+/// sweep is purely analytic + structural.
 struct SweepOptions {
   bool estimate_power = false;
-  std::uint64_t vectors = 1024;
-  std::uint64_t seed = 1;
 };
+
+/// One GeAr sweep point (Table IV / Fig. 4). accuracy_percent comes from
+/// the analytic GeAr error model.
+struct GearEntry {
+  arith::GeArConfig config;
+  core::DesignPoint point;
+};
+
+/// Grid: arith::enumerate_gear_configs(width, min_p, include_exact), in
+/// its order (R ascending, then P ascending).
+std::vector<GearEntry> explore_gear_space(unsigned width, unsigned min_p,
+                                          bool include_exact,
+                                          const SweepOptions& options = {});
 
 /// One heterogeneous-adder sweep point. accuracy_percent follows the gear
 /// convention: 100 * (1 - error_rate).

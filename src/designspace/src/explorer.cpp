@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "axc/common/require.hpp"
+#include "axc/error/gear_model.hpp"
+#include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/characterize.hpp"
 
 namespace axc::designspace {
@@ -12,8 +14,8 @@ namespace axc::designspace {
 namespace {
 
 /// Area always comes from the structural netlist; power only when asked
-/// (it simulates `vectors` random vectors on the tape engine, memoized
-/// process-wide by structural hash, so repeated sweeps are cheap).
+/// (it simulates kSweepPowerVectors random vectors on the tape engine,
+/// memoized process-wide by structural hash, so repeated sweeps are cheap).
 core::DesignPoint characterize_point(const logic::Netlist& netlist,
                                      double accuracy,
                                      const SweepOptions& options) {
@@ -22,8 +24,8 @@ core::DesignPoint characterize_point(const logic::Netlist& netlist,
   point.area_ge = netlist.area_ge();
   if (options.estimate_power) {
     point.power_nw =
-        logic::characterize(netlist, std::nullopt, options.vectors,
-                            options.seed)
+        logic::characterize(netlist, std::nullopt, kSweepPowerVectors,
+                            kSweepPowerSeed)
             .power_nw;
   }
   point.accuracy_percent = accuracy;
@@ -35,6 +37,20 @@ double accuracy_from_er(double error_rate) {
 }
 
 }  // namespace
+
+std::vector<GearEntry> explore_gear_space(unsigned width, unsigned min_p,
+                                          bool include_exact,
+                                          const SweepOptions& options) {
+  std::vector<GearEntry> entries;
+  for (const arith::GeArConfig& config :
+       arith::enumerate_gear_configs(width, min_p, include_exact)) {
+    entries.push_back(
+        {config, characterize_point(logic::gear_adder_netlist(config),
+                                    error::gear_accuracy_percent(config),
+                                    options)});
+  }
+  return entries;
+}
 
 std::vector<HeteroEntry> explore_hetero_space(unsigned width,
                                               unsigned block_width,

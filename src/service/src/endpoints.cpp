@@ -6,7 +6,6 @@
 #include "axc/accel/sad.hpp"
 #include "axc/arith/adder.hpp"
 #include "axc/arith/multiplier.hpp"
-#include "axc/core/explorer.hpp"
 #include "axc/core/pareto.hpp"
 #include "axc/designspace/explorer.hpp"
 #include "axc/error/evaluate.hpp"
@@ -95,12 +94,10 @@ class Ladder {
 
 // --- Shared design-space plumbing -----------------------------------------
 //
-// All four sweep endpoints answer the same three questions about a flat
-// list of (area, power, accuracy) points: which lie on the area/error
-// Pareto front, which single point maximizes accuracy, and which is the
-// cheapest meeting an accuracy floor. The tie-breaks (first maximum,
-// first minimum, points.size() as the none/infeasible sentinel) mirror
-// core::max_accuracy_config / min_area_config_with_accuracy.
+// All four sweep endpoints answer the same three questions about a swept
+// space, and core::rank_space answers them: which points lie on the
+// area/error Pareto front, which single point maximizes accuracy, and
+// which is the cheapest meeting an accuracy floor.
 
 /// Builds the response for a swept \p space (entries carry a
 /// core::DesignPoint `point`); \p fill copies each entry's
@@ -108,38 +105,22 @@ class Ladder {
 template <class Response, class Space, class Fill>
 Response rank_design_space(const Space& space, double min_accuracy,
                            Fill fill) {
-  std::vector<core::DesignPoint> flat;
-  flat.reserve(space.size());
-  for (const auto& entry : space) flat.push_back(entry.point);
-
+  const core::Ranking ranking = core::rank_space(space, min_accuracy);
   Response response;
-  response.points.resize(flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
+  response.points.resize(space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) {
     auto& point = response.points[i];
     fill(point, space[i]);
-    point.area_ge = flat[i].area_ge;
-    point.power_nw = flat[i].power_nw;
-    point.accuracy_percent = flat[i].accuracy_percent;
+    point.area_ge = space[i].point.area_ge;
+    point.power_nw = space[i].point.power_nw;
+    point.accuracy_percent = space[i].point.accuracy_percent;
   }
-  const auto front = core::pareto_front(
-      flat, {core::minimize_area(), core::minimize_error()});
-  for (const std::size_t i : front) response.points[i].on_pareto_front = true;
-
-  std::size_t best_accuracy = flat.size();
-  std::size_t best_area = flat.size();
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    if (best_accuracy == flat.size() ||
-        flat[i].accuracy_percent > flat[best_accuracy].accuracy_percent) {
-      best_accuracy = i;
-    }
-    if (flat[i].accuracy_percent >= min_accuracy &&
-        (best_area == flat.size() ||
-         flat[i].area_ge < flat[best_area].area_ge)) {
-      best_area = i;
-    }
+  for (const std::size_t i : ranking.pareto_front) {
+    response.points[i].on_pareto_front = true;
   }
-  response.max_accuracy_index = static_cast<std::uint32_t>(best_accuracy);
-  response.min_area_index = static_cast<std::uint32_t>(best_area);
+  response.max_accuracy_index =
+      static_cast<std::uint32_t>(ranking.max_accuracy_index);
+  response.min_area_index = static_cast<std::uint32_t>(ranking.min_area_index);
   return response;
 }
 
@@ -274,12 +255,12 @@ GearDesignSpaceResponse handle(const GearDesignSpaceRequest& request,
         "gear_design_space: width out of [2, 16]");
   check_min_accuracy(request.min_accuracy,
                      "gear_design_space: min_accuracy out of [0, 100]");
-  core::ExploreOptions explore;
-  explore.min_p = request.min_p;
-  explore.include_exact = request.include_exact;
-  explore.estimate_power = ladder.power_estimate(request.estimate_power);
+  designspace::SweepOptions sweep;
+  sweep.estimate_power = ladder.power_estimate(request.estimate_power);
   return rank_design_space<GearDesignSpaceResponse>(
-      core::explore_gear_space(request.width, explore), request.min_accuracy,
+      designspace::explore_gear_space(request.width, request.min_p,
+                                      request.include_exact, sweep),
+      request.min_accuracy,
       [](GearDesignSpacePoint& point, const auto& entry) {
         point.r = entry.config.r;
         point.p = entry.config.p;

@@ -79,16 +79,14 @@ TEST(Pareto, FrontIsMutuallyNonDominating) {
 
 TEST(SelectMinObjective, RespectsAccuracyFloor) {
   const auto points = sample_points();
-  const std::size_t pick =
-      select_min_objective(points, 90.0, minimize_area());
+  const std::size_t pick = rank_points(points, 90.0).min_area_index;
   ASSERT_LT(pick, points.size());
   EXPECT_EQ(points[pick].name, "odd");  // cheapest with >= 90%
 }
 
 TEST(SelectMinObjective, InfeasibleReturnsEnd) {
   const auto points = sample_points();
-  EXPECT_EQ(select_min_objective(points, 100.1, minimize_area()),
-            points.size());
+  EXPECT_EQ(rank_points(points, 100.1).min_area_index, points.size());
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 #include "axc/accel/sad_netlist.hpp"
 #include "axc/common/rng.hpp"
 #include "axc/core/cec.hpp"
-#include "axc/core/explorer.hpp"
 #include "axc/core/manager.hpp"
+#include "axc/core/pareto.hpp"
+#include "axc/designspace/explorer.hpp"
 #include "axc/error/evaluate.hpp"
 #include "axc/image/ssim.hpp"
 #include "axc/image/synth.hpp"
@@ -25,8 +26,8 @@ namespace {
 // constraint, instantiate it, and verify the picked accuracy holds on
 // real additions.
 TEST(CrossLayer, ExploreSelectInstantiateVerify) {
-  const auto space = core::explore_gear_space(12);
-  const std::size_t pick = core::min_area_config_with_accuracy(space, 95.0);
+  const auto space = designspace::explore_gear_space(12, 1, false);
+  const std::size_t pick = core::rank_space(space, 95.0).min_area_index;
   ASSERT_LT(pick, space.size());
   const arith::GeArAdder adder(space[pick].config);
   error::EvalOptions opts;

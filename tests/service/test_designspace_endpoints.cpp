@@ -1,13 +1,19 @@
-/// The three axc::designspace endpoints (hetero_adder_design_space,
-/// array_mul_design_space, static_adder_design_space): typed round-trips
-/// match the library sweeps, responses are byte-identical across eval
-/// thread counts, warm requests serve from the ResultCache, out-of-policy
-/// requests answer BadRequest, and the degrade ladder sheds the power sim
-/// visibly (served_level) without touching the analytic ranking.
+/// The four axc::designspace endpoints (gear_design_space,
+/// hetero_adder_design_space, array_mul_design_space,
+/// static_adder_design_space): typed round-trips match the library sweeps
+/// and their core::rank_space ranking, gear power is priced exactly as
+/// characterize_adder prices the same netlist, responses are
+/// byte-identical across eval thread counts, warm requests serve from the
+/// ResultCache, out-of-policy requests answer BadRequest, and the degrade
+/// ladder sheds the power sim visibly (served_level) without touching the
+/// analytic ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "axc/core/pareto.hpp"
 #include "axc/designspace/explorer.hpp"
 #include "axc/obs/obs.hpp"
 #include "axc/service/endpoints.hpp"
@@ -29,6 +35,62 @@ std::uint64_t counter_value(const std::string& name) {
   const auto snap = obs::snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST_F(DesignspaceEndpointsTest, GearEndpointMatchesLibrarySweep) {
+  Server server({.workers = 2});
+  LoopbackConnection connection(server);
+  Client client(connection);
+
+  GearDesignSpaceRequest req;
+  req.width = 11;
+  req.min_accuracy = 90.0;
+  const GearDesignSpaceResponse got = client.call(req);
+
+  const auto want = designspace::explore_gear_space(11, 1, false);
+  const core::Ranking ranking = core::rank_space(want, 90.0);
+  ASSERT_EQ(got.points.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.points[i].r, want[i].config.r) << i;
+    EXPECT_EQ(got.points[i].p, want[i].config.p) << i;
+    EXPECT_DOUBLE_EQ(got.points[i].area_ge, want[i].point.area_ge) << i;
+    EXPECT_DOUBLE_EQ(got.points[i].accuracy_percent,
+                     want[i].point.accuracy_percent)
+        << i;
+    const bool on_front =
+        std::find(ranking.pareto_front.begin(), ranking.pareto_front.end(),
+                  i) != ranking.pareto_front.end();
+    EXPECT_EQ(got.points[i].on_pareto_front, on_front) << i;
+  }
+  EXPECT_EQ(got.max_accuracy_index, ranking.max_accuracy_index);
+  EXPECT_EQ(got.min_area_index, ranking.min_area_index);
+  ASSERT_LT(got.min_area_index, got.points.size());
+  EXPECT_GE(got.points[got.min_area_index].accuracy_percent, 90.0);
+}
+
+TEST_F(DesignspaceEndpointsTest, GearSweepPowerMatchesCharacterizeAdder) {
+  // Every family prices power the way characterize_adder prices one
+  // netlist: same calibrated model, same stimulus.
+  GearDesignSpaceRequest req;
+  req.width = 8;
+  req.estimate_power = true;
+  const auto sweep = decode_response<GearDesignSpaceResponse>(
+      dispatch(encode_request(req), {}));
+  ASSERT_FALSE(sweep.points.empty());
+  for (const GearDesignSpacePoint& point : sweep.points) {
+    CharacterizeAdderRequest single;
+    single.family = AdderFamily::Gear;
+    single.width = 8;
+    single.param_a = point.r;
+    single.param_b = point.p;
+    single.vectors = designspace::kSweepPowerVectors;
+    single.seed = designspace::kSweepPowerSeed;
+    const auto want = decode_response<CharacterizeResponse>(
+        dispatch(encode_request(single), {}));
+    EXPECT_GT(point.power_nw, 0.0);
+    EXPECT_DOUBLE_EQ(point.power_nw, want.power_nw)
+        << "R=" << point.r << " P=" << point.p;
+  }
 }
 
 TEST_F(DesignspaceEndpointsTest, HeteroEndpointMatchesLibrarySweep) {
@@ -191,18 +253,19 @@ TEST_F(DesignspaceEndpointsTest, OutOfPolicyRequestsAnswerBadRequest) {
             Status::BadRequest);
 }
 
-TEST_F(DesignspaceEndpointsTest, DegradeShedsPowerSimAndStampsLevel) {
-  HeteroAdderDesignSpaceRequest req;
-  req.width = 8;
-  req.block_width = 4;
+/// Checks one design-space request type under the degrade ladder.
+template <class Request>
+void expect_degrade_sheds_power(Request req) {
+  using Response = ResponseOf<Request>;
+  SCOPED_TRACE(std::string(SpecOf<Request>::name));
   req.estimate_power = true;
 
   DispatchOptions full;
   const Bytes baseline = dispatch(encode_request(req), full);
   ASSERT_EQ(response_status(baseline), Status::Ok);
   EXPECT_EQ(response_level(baseline).value(), 0u);
-  const auto full_points =
-      decode_hetero_adder_design_space_response(baseline);
+  const auto full_points = decode_response<Response>(baseline);
+  ASSERT_FALSE(full_points.points.empty());
   EXPECT_GT(full_points.points[0].power_nw, 0.0);
 
   DispatchOptions degraded;
@@ -210,7 +273,7 @@ TEST_F(DesignspaceEndpointsTest, DegradeShedsPowerSimAndStampsLevel) {
   const Bytes shed = dispatch(encode_request(req), degraded);
   ASSERT_EQ(response_status(shed), Status::Ok);
   EXPECT_EQ(response_level(shed).value(), 2u);
-  const auto shed_points = decode_hetero_adder_design_space_response(shed);
+  const auto shed_points = decode_response<Response>(shed);
   ASSERT_EQ(shed_points.points.size(), full_points.points.size());
   for (std::size_t i = 0; i < shed_points.points.size(); ++i) {
     EXPECT_EQ(shed_points.points[i].power_nw, 0.0) << i;
@@ -228,6 +291,24 @@ TEST_F(DesignspaceEndpointsTest, DegradeShedsPowerSimAndStampsLevel) {
   const Bytes nothing_to_shed = dispatch(encode_request(req), degraded);
   ASSERT_EQ(response_status(nothing_to_shed), Status::Ok);
   EXPECT_EQ(response_level(nothing_to_shed).value(), 0u);
+}
+
+TEST_F(DesignspaceEndpointsTest, DegradeShedsPowerSimAndStampsLevel) {
+  GearDesignSpaceRequest gear;
+  gear.width = 8;
+  HeteroAdderDesignSpaceRequest hetero;
+  hetero.width = 8;
+  hetero.block_width = 4;
+  ArrayMulDesignSpaceRequest mul;
+  mul.width = 4;
+  mul.max_approx_columns = 2;
+  StaticAdderDesignSpaceRequest stat;
+  stat.width = 8;
+  stat.max_approx_lsbs = 2;
+  expect_degrade_sheds_power(gear);
+  expect_degrade_sheds_power(hetero);
+  expect_degrade_sheds_power(mul);
+  expect_degrade_sheds_power(stat);
 }
 
 }  // namespace
