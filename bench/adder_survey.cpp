@@ -6,9 +6,11 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "axc/arith/lpa_adders.hpp"
 #include "axc/arith/soa_adders.hpp"
+#include "axc/designspace/static_adder.hpp"
 #include "axc/error/evaluate.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/power.hpp"
@@ -22,6 +24,7 @@ int main() {
   struct Entry {
     std::unique_ptr<arith::Adder> adder;
     std::function<logic::Netlist()> netlist;
+    std::string label = {};  ///< row label when not the adder's name
   };
   std::vector<Entry> entries;
   const unsigned n = 16;
@@ -55,8 +58,13 @@ int main() {
   }
   // Lower-part-approximate family.
   for (const unsigned k : {4u, 8u}) {
-    entries.push_back({std::make_unique<arith::LoaAdder>(n, k),
-                       [=] { return logic::loa_adder_netlist(n, k); }});
+    const auto loa = designspace::static_adder_cells(
+        designspace::StaticAdderKind::Loa, n, k);
+    const std::string label =
+        "LOA(" + std::to_string(n) + "," + std::to_string(k) + ")";
+    entries.push_back({std::make_unique<arith::RippleAdder>(loa),
+                       [=] { return logic::ripple_adder_netlist(loa); },
+                       label});
     entries.push_back({std::make_unique<arith::EtaiAdder>(n, k),
                        [=] { return logic::etai_adder_netlist(n, k); }});
   }
@@ -70,7 +78,8 @@ int main() {
     error::EvalOptions opts;
     opts.samples = 1u << 18;
     const auto stats = error::evaluate_adder(*entry.adder, opts);
-    table.add_row({entry.adder->name(), fmt(nl.area_ge(), 1), fmt(power, 0),
+    table.add_row({entry.label.empty() ? entry.adder->name() : entry.label,
+                   fmt(nl.area_ge(), 1), fmt(power, 0),
                    fmt_pct(stats.error_rate, 2),
                    fmt(stats.mean_error_distance, 2),
                    fmt(stats.normalized_med, 5),

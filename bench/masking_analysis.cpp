@@ -5,7 +5,8 @@
 #include <iostream>
 
 #include "axc/accel/datapath.hpp"
-#include "axc/arith/lpa_adders.hpp"
+#include "axc/arith/adder.hpp"
+#include "axc/designspace/static_adder.hpp"
 #include "bench_util.hpp"
 
 int main() {
@@ -48,7 +49,9 @@ int main() {
                "mechanism that makes Fig. 8 work):\n";
   Table masking({"Datapath", "output MED"});
   const auto loa = [] {
-    return std::make_shared<const arith::LoaAdder>(8, 4);
+    return std::make_shared<const arith::RippleAdder>(
+        designspace::static_adder_cells(designspace::StaticAdderKind::Loa, 8,
+                                        4));
   };
   {
     Datapath open_path("sum only");

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <string>
 
+#include "axc/designspace/static_adder.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/mul_netlists.hpp"
 #include "axc/logic/verilog.hpp"
@@ -73,7 +74,9 @@ int main(int argc, char** argv) {
               .cells();
       emit(logic::ripple_adder_netlist(cells), "ripple8_apxfa3_x4");
     }
-    emit(logic::loa_adder_netlist(16, 8), "loa_16_8");
+    emit(logic::ripple_adder_netlist(designspace::static_adder_cells(
+             designspace::StaticAdderKind::Loa, 16, 8)),
+         "loa_16_8");
     emit(logic::etai_adder_netlist(16, 8), "etai_16_8");
     emit(logic::multiplier_netlist(
              {8, arith::Mul2x2Kind::Ours, arith::FullAdderKind::Apx3, 4}),

@@ -68,6 +68,11 @@ class ExactAdder final : public Adder {
   unsigned width_;
 };
 
+/// Positions up to and including the highest non-accurate cell (0 when
+/// every cell is accurate): the low part of a ripple adder that can err.
+/// The cells above it form an exact add of the low part's carry.
+unsigned low_part_width(std::span<const FullAdderKind> cells);
+
 /// The per-bit ripple-carry loop: cells[i] is evaluated through full_add()
 /// at bit position i, LSB first, and the final carry lands at bit
 /// cells.size(). Operand bits at or above cells.size() are ignored and
@@ -83,6 +88,8 @@ std::uint64_t ripple_add_reference(std::span<const FullAdderKind> cells,
 /// The canonical use — the one evaluated in the paper's Figs. 6, 8, 9 —
 /// approximates the low `k` bit positions with one of the ApxFA cells and
 /// keeps the upper positions accurate ("approximating k LSBs").
+/// The lower-part cells make the LOA, LOAWA, HEAA and truncated adders
+/// instances of the same class (designspace::static_adder_cells).
 ///
 /// Construction compiles the cells into two parts. Every position up to
 /// the highest non-accurate cell is covered by 4-bit chunks, each a

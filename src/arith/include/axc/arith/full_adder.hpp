@@ -7,6 +7,11 @@
 /// which every multi-bit approximate adder, subtractor, multiplier and
 /// accelerator in the library is composed. The truth tables below are
 /// byte-for-byte the ones printed in the paper's Table III.
+///
+/// Five more cells follow the Table III six. They ignore their carry-in
+/// and build the lower-part approximate adders of the literature (LOA,
+/// LOAWA, HEAA, truncation) as plain ripples of cells: see
+/// designspace::static_adder_cells.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +19,8 @@
 
 namespace axc::arith {
 
-/// The six full-adder behaviours of Table III.
+/// The six full-adder behaviours of Table III, then the five
+/// carry-in-free lower-part cells.
 enum class FullAdderKind : std::uint8_t {
   Accurate,  ///< AccuFA — exact sum and carry
   Apx1,      ///< ApxFA1 — IMPACT approximation 1 (2 error cases)
@@ -22,14 +28,32 @@ enum class FullAdderKind : std::uint8_t {
   Apx3,      ///< ApxFA3 — Sum = !Cout with approximate Cout (3 error cases)
   Apx4,      ///< ApxFA4 — Cout = A (3 error cases)
   Apx5,      ///< ApxFA5 — pure wiring: Sum = B, Cout = A (4 error cases)
+  LowOr,       ///< Sum = A | B, Cout = 0 (LOA / LOAWA low bits)
+  LowOrCarry,  ///< Sum = A | B, Cout = A & B (LOA's top low bit)
+  LowXor,      ///< Sum = A ^ B, Cout = 0 (HEAA low bits)
+  HalfAdd,     ///< Sum = A ^ B, Cout = A & B (HEAA's top low bit)
+  Zero,        ///< Sum = 0, Cout = 0 (truncation)
 };
 
+/// The Table III cells: the ones the paper characterizes and the service
+/// accepts on the wire.
 inline constexpr int kFullAdderKindCount = 6;
 
-/// All kinds, in Table III column order — handy for sweeps.
+/// All Table III kinds, in column order — handy for sweeps.
 inline constexpr FullAdderKind kAllFullAdderKinds[kFullAdderKindCount] = {
     FullAdderKind::Accurate, FullAdderKind::Apx1, FullAdderKind::Apx2,
     FullAdderKind::Apx3,     FullAdderKind::Apx4, FullAdderKind::Apx5,
+};
+
+/// Every cell a ripple adder can be built from: Table III plus the five
+/// lower-part cells.
+inline constexpr int kCellKindCount = 11;
+
+inline constexpr FullAdderKind kAllCellKinds[kCellKindCount] = {
+    FullAdderKind::Accurate, FullAdderKind::Apx1,       FullAdderKind::Apx2,
+    FullAdderKind::Apx3,     FullAdderKind::Apx4,       FullAdderKind::Apx5,
+    FullAdderKind::LowOr,    FullAdderKind::LowOrCarry, FullAdderKind::LowXor,
+    FullAdderKind::HalfAdd,  FullAdderKind::Zero,
 };
 
 /// One-bit addition result.
@@ -42,7 +66,8 @@ struct FullAdderOut {
 FullAdderOut full_add(FullAdderKind kind, unsigned a, unsigned b,
                       unsigned cin);
 
-/// The paper's name for the kind ("AccuFA", "ApxFA1", ...).
+/// The paper's name for the kind ("AccuFA", "ApxFA1", ...); the
+/// lower-part cells are named after their enumerators ("LowOr", ...).
 std::string_view full_adder_name(FullAdderKind kind);
 
 /// Number of truth-table rows (out of 8) on which \p kind differs from the
@@ -57,6 +82,7 @@ struct PaperFullAdderData {
   double power_nw = 0.0;
   int error_cases = 0;
 };
+/// Defined for the Table III kinds only.
 PaperFullAdderData paper_full_adder_data(FullAdderKind kind);
 
 }  // namespace axc::arith

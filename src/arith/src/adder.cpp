@@ -28,18 +28,18 @@ namespace {
 constexpr unsigned kChunkBits = RippleAdder::kChunkBits;
 constexpr std::size_t kChunkTableSize = std::size_t{1}
                                         << (2 * kChunkBits + 1);
-constexpr std::size_t kChunkPatterns = 6 * 6 * 6 * 6;  // 6^kChunkBits
-static_assert(kFullAdderKindCount == 6 && kChunkBits == 4);
+constexpr std::size_t kChunkPatterns = 11 * 11 * 11 * 11;  // 11^kChunkBits
+static_assert(kCellKindCount == 11 && kChunkBits == 4);
 using ChunkTable = std::array<std::uint8_t, kChunkTableSize>;
 
 /// The table of one 4-cell chunk, shared by every adder with the same cell
-/// pattern. The intern is bounded by construction (6^4 patterns x 512 B)
+/// pattern. The intern is bounded by construction (11^4 patterns x 512 B)
 /// and never frees, so the pointers adders hold stay valid.
 const std::uint8_t* interned_chunk_table(
     const std::array<FullAdderKind, kChunkBits>& cells) {
   std::size_t key = 0;
   for (const FullAdderKind kind : cells) {
-    key = key * kFullAdderKindCount + static_cast<std::size_t>(kind);
+    key = key * kCellKindCount + static_cast<std::size_t>(kind);
   }
   static std::mutex mutex;
   static std::array<std::unique_ptr<const ChunkTable>, kChunkPatterns> tables;
@@ -59,6 +59,13 @@ const std::uint8_t* interned_chunk_table(
 }
 
 }  // namespace
+
+unsigned low_part_width(std::span<const FullAdderKind> cells) {
+  const auto top = std::find_if(
+      cells.rbegin(), cells.rend(),
+      [](FullAdderKind k) { return k != FullAdderKind::Accurate; });
+  return static_cast<unsigned>(std::distance(top, cells.rend()));
+}
 
 std::uint64_t ripple_add_reference(std::span<const FullAdderKind> cells,
                                    std::uint64_t a, std::uint64_t b,
@@ -83,12 +90,7 @@ RippleAdder::RippleAdder(std::vector<FullAdderKind> cells)
   mask_ = low_mask(width());
   // Table chunks cover every cell up to the highest non-accurate one; the
   // rest is exact and becomes one native add.
-  const auto last_approx = std::find_if(
-      cells_.rbegin(), cells_.rend(),
-      [](FullAdderKind k) { return k != FullAdderKind::Accurate; });
-  const auto low_cells =
-      static_cast<unsigned>(std::distance(last_approx, cells_.rend()));
-  chunk_count_ = (low_cells + kChunkBits - 1) / kChunkBits;
+  chunk_count_ = (low_part_width(cells_) + kChunkBits - 1) / kChunkBits;
   high_shift_ = std::min(chunk_count_ * kChunkBits, 63u);
   for (unsigned c = 0; c < chunk_count_; ++c) {
     // Positions past the width are padded with accurate cells; their
@@ -116,26 +118,22 @@ RippleAdder RippleAdder::lsb_approximated(unsigned width, FullAdderKind kind,
 }
 
 std::string RippleAdder::name() const {
-  // Summarize the canonical LSB-approximated layout compactly; fall back to
-  // a generic label for arbitrary mixes.
-  const unsigned width = this->width();
-  unsigned approx = 0;
-  while (approx < width && cells_[approx] != FullAdderKind::Accurate) {
-    ++approx;
+  // Run-length summary of the cells, LSB first, without the accurate run
+  // at the top: "Ripple<ApxFA3 x4/8>", "Ripple<LowOr x3+LowOrCarry x1/16>".
+  const auto end = cells_.begin() + low_part_width(cells_);
+  if (end == cells_.begin()) {
+    return "Ripple<AccuFA/" + std::to_string(width()) + ">";
   }
-  const bool uniform_tail = std::all_of(
-      cells_.begin() + approx, cells_.end(),
-      [](FullAdderKind k) { return k == FullAdderKind::Accurate; });
-  const bool uniform_head =
-      approx == 0 ||
-      std::all_of(cells_.begin(), cells_.begin() + approx,
-                  [&](FullAdderKind k) { return k == cells_[0]; });
-  if (uniform_tail && uniform_head) {
-    if (approx == 0) return "Ripple<AccuFA/" + std::to_string(width) + ">";
-    return "Ripple<" + std::string(full_adder_name(cells_[0])) + " x" +
-           std::to_string(approx) + "/" + std::to_string(width) + ">";
+  std::string runs;
+  for (auto run = cells_.begin(); run != end;) {
+    const auto next = std::find_if(
+        run, end, [&](FullAdderKind k) { return k != *run; });
+    if (!runs.empty()) runs += '+';
+    runs += std::string(full_adder_name(*run)) + " x" +
+            std::to_string(next - run);
+    run = next;
   }
-  return "Ripple<mixed/" + std::to_string(width) + ">";
+  return "Ripple<" + runs + "/" + std::to_string(width()) + ">";
 }
 
 AdderFactory ripple_adder_factory(FullAdderKind kind, unsigned approx_lsbs) {

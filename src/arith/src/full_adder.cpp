@@ -7,15 +7,16 @@
 namespace axc::arith {
 namespace {
 
-/// Table III encoded as two bytes per kind: bit r of `sum`/`carry` is the
-/// output for input row r, with the row index r = A*4 + B*2 + Cin.
+/// Table III and the lower-part cells encoded as two bytes per kind: bit r
+/// of `sum`/`carry` is the output for input row r, with the row index
+/// r = A*4 + B*2 + Cin.
 struct FaTruth {
   std::uint8_t sum;
   std::uint8_t carry;
 };
 
 // Row order (LSB first): 000, 001, 010, 011, 100, 101, 110, 111.
-constexpr std::array<FaTruth, kFullAdderKindCount> kTruth = {{
+constexpr std::array<FaTruth, kCellKindCount> kTruth = {{
     // AccuFA:  S = A^B^Cin, C = maj(A,B,Cin)
     {0b10010110, 0b11101000},
     // ApxFA1:  S rows 001,111 ; C rows 010,011,101,110,111
@@ -28,10 +29,21 @@ constexpr std::array<FaTruth, kFullAdderKindCount> kTruth = {{
     {0b10001010, 0b11110000},
     // ApxFA5:  S = B         ; C = A
     {0b11001100, 0b11110000},
+    // LowOr:      S = A|B ; C = 0
+    {0b11111100, 0b00000000},
+    // LowOrCarry: S = A|B ; C = A&B
+    {0b11111100, 0b11000000},
+    // LowXor:     S = A^B ; C = 0
+    {0b00111100, 0b00000000},
+    // HalfAdd:    S = A^B ; C = A&B
+    {0b00111100, 0b11000000},
+    // Zero:       S = 0   ; C = 0
+    {0b00000000, 0b00000000},
 }};
 
-constexpr std::array<std::string_view, kFullAdderKindCount> kNames = {
-    "AccuFA", "ApxFA1", "ApxFA2", "ApxFA3", "ApxFA4", "ApxFA5"};
+constexpr std::array<std::string_view, kCellKindCount> kNames = {
+    "AccuFA", "ApxFA1",     "ApxFA2", "ApxFA3",  "ApxFA4", "ApxFA5",
+    "LowOr",  "LowOrCarry", "LowXor", "HalfAdd", "Zero"};
 
 // Last three rows of Table III as printed in the paper.
 constexpr std::array<PaperFullAdderData, kFullAdderKindCount> kPaperData = {{
@@ -70,6 +82,8 @@ int full_adder_error_cases(FullAdderKind kind) {
 }
 
 PaperFullAdderData paper_full_adder_data(FullAdderKind kind) {
+  require(static_cast<int>(kind) < kFullAdderKindCount,
+          "paper_full_adder_data: not a Table III cell");
   return kPaperData[static_cast<int>(kind)];
 }
 

@@ -20,6 +20,7 @@
 #include "axc/designspace/compressor_mul.hpp"
 #include "axc/designspace/hetero_adder.hpp"
 #include "axc/designspace/static_adder.hpp"
+#include "axc/error/metrics.hpp"
 
 namespace axc::designspace {
 
@@ -56,7 +57,7 @@ struct HeteroEntry {
   HeteroSubAdder low_kind = HeteroSubAdder::Accurate;
   unsigned approx_blocks = 0;
   core::DesignPoint point;
-  HeteroErrorModel model;
+  error::AdderErrorModel model;
 };
 
 /// Grid: the all-accurate baseline, then CarryCut x m for m = 1..K, then
@@ -81,12 +82,14 @@ std::vector<MulEntry> explore_compressor_mul_space(
     unsigned width, unsigned max_approx_columns,
     const SweepOptions& options = {});
 
-/// One static-adder sweep point.
+/// One static-adder sweep point. The netlist is
+/// logic::ripple_adder_netlist of static_adder_cells, named e.g.
+/// "LOA16_4"; the model is error::ripple_error_model of the same cells.
 struct StaticEntry {
   StaticAdderKind kind = StaticAdderKind::Loa;
   unsigned approx_lsbs = 0;
   core::DesignPoint point;
-  StaticAdderModel model;
+  error::AdderErrorModel model;
 };
 
 /// Grid: the exact baseline (approx_lsbs = 0), then LOA/LOAWA/HEAA with

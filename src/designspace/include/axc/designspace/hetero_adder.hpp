@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "axc/arith/adder.hpp"
+#include "axc/error/metrics.hpp"
 #include "axc/logic/adder_netlists.hpp"
 
 namespace axc::designspace {
@@ -61,17 +62,10 @@ class HeteroBlockAdder final : public arith::Adder {
 };
 
 /// Closed-form error statistics under i.i.d. uniform operands (carry-in 0).
-/// All four figures are mathematically exact for this family; see
+/// All four figures are mathematically exact for this family (the error
+/// is deficit-only, and the WCE is attained at all-ones operands); see
 /// DESIGN.md §13 for the derivation.
-struct HeteroErrorModel {
-  double error_rate = 0.0;  ///< P(approx != exact)
-  double med = 0.0;         ///< E|approx - exact| (= E[D], deficit-only)
-  double nmed = 0.0;        ///< med / (2^(width+1) - 2), the evaluate_adder ceiling
-  std::uint64_t wce = 0;    ///< max |approx - exact| (attained at all-ones)
-  bool exact = false;       ///< true when the configuration has zero error
-};
-
-/// Evaluates the closed-form model for a block list.
-HeteroErrorModel hetero_error_model(std::span<const HeteroBlockSpec> blocks);
+error::AdderErrorModel hetero_error_model(
+    std::span<const HeteroBlockSpec> blocks);
 
 }  // namespace axc::designspace

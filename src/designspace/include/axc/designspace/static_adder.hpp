@@ -2,19 +2,19 @@
 /// Gate-level static approximate adders for the low-area corner
 /// (LOA / LOAWA / HEAA, per the arXiv:2112.09320 taxonomy).
 ///
-/// All three truncate the carry chain at bit k and replace the low k sum
-/// bits with single gates: OR (LOA, LOAWA) or XOR (HEAA). LOA and HEAA
-/// predict the carry into the exact upper part as a[k-1] & b[k-1]; LOAWA
-/// feeds it constant 0. The error depends only on the low k bits of the
-/// operands, so MED/ER/WCE are computed exactly by enumerating all 4^k
-/// low-part pairs — no sampling, no independence assumptions.
+/// All three cut the carry chain at bit k and replace the low k sum bits
+/// with single gates: OR (LOA, LOAWA) or XOR (HEAA). LOA and HEAA predict
+/// the carry into the exact upper part as a[k-1] & b[k-1]; LOAWA feeds it
+/// constant 0. Each is a ripple of arith::FullAdderKind cells, so
+/// arith::RippleAdder runs it, logic::ripple_adder_netlist builds it and
+/// error::ripple_error_model gives its exact ER/MED/WCE. Like every
+/// lower-part cell, the low cells ignore the carry-in.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
-#include "axc/arith/adder.hpp"
-#include "axc/logic/netlist.hpp"
+#include "axc/arith/full_adder.hpp"
 
 namespace axc::designspace {
 
@@ -28,46 +28,13 @@ enum class StaticAdderKind : std::uint8_t {
 /// "LOA" / "LOAWA" / "HEAA".
 const char* static_adder_kind_name(StaticAdderKind kind);
 
-/// Behavioral model, bit-equivalent to the corresponding logic netlist
-/// factory (loa/loawa/heaa_adder_netlist). carry_in must be 0 unless
-/// approx_lsbs == 0 (the gate-level adders have no carry-in pin).
-class StaticApproxAdder final : public arith::Adder {
- public:
-  StaticApproxAdder(StaticAdderKind kind, unsigned width,
-                    unsigned approx_lsbs);
-
-  unsigned width() const override { return width_; }
-  std::uint64_t add(std::uint64_t a, std::uint64_t b,
-                    unsigned carry_in) const override;
-  std::string name() const override;
-  bool is_exact() const override { return approx_lsbs_ == 0; }
-
-  StaticAdderKind kind() const { return kind_; }
-  unsigned approx_lsbs() const { return approx_lsbs_; }
-
- private:
-  StaticAdderKind kind_;
-  unsigned width_;
-  unsigned approx_lsbs_;
-};
-
-/// Netlist for the same configuration (dispatches to the logic factories).
-logic::Netlist static_adder_netlist(StaticAdderKind kind, unsigned width,
-                                    unsigned approx_lsbs);
-
-/// Exact error statistics under i.i.d. uniform operands, by enumerating
-/// the 4^approx_lsbs low-part pairs. nmed uses the evaluate_adder ceiling
-/// 2^(width+1) - 2.
-struct StaticAdderModel {
-  double error_rate = 0.0;
-  double med = 0.0;
-  double nmed = 0.0;
-  std::uint64_t wce = 0;
-  bool exact = false;
-};
-
-StaticAdderModel static_adder_error_model(StaticAdderKind kind,
-                                          unsigned width,
-                                          unsigned approx_lsbs);
+/// The cell vector of a \p width-bit adder of \p kind with \p approx_lsbs
+/// approximate low bits, LSB first; accurate cells above them:
+///  - LOA:   LowOr x (k-1), LowOrCarry
+///  - LOAWA: LowOr x k
+///  - HEAA:  LowXor x (k-1), HalfAdd
+std::vector<arith::FullAdderKind> static_adder_cells(StaticAdderKind kind,
+                                                     unsigned width,
+                                                     unsigned approx_lsbs);
 
 }  // namespace axc::designspace

@@ -6,6 +6,7 @@
 
 #include "axc/common/require.hpp"
 #include "axc/error/gear_model.hpp"
+#include "axc/error/ripple_model.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/characterize.hpp"
 
@@ -129,9 +130,13 @@ std::vector<StaticEntry> explore_static_adder_space(
     StaticEntry entry;
     entry.kind = kind;
     entry.approx_lsbs = k;
-    entry.model = static_adder_error_model(kind, width, k);
+    const std::vector<arith::FullAdderKind> cells =
+        static_adder_cells(kind, width, k);
+    entry.model = error::ripple_error_model(cells);
     entry.point = characterize_point(
-        static_adder_netlist(kind, width, k),
+        logic::ripple_adder_netlist(
+            cells, static_adder_kind_name(kind) + std::to_string(width) +
+                       "_" + std::to_string(k)),
         accuracy_from_er(entry.model.error_rate), options);
     entries.push_back(std::move(entry));
   };

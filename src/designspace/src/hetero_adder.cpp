@@ -4,17 +4,10 @@
 #include <cmath>
 #include <string>
 
+#include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
 
 namespace axc::designspace {
-
-namespace {
-
-std::uint64_t low_mask(unsigned bits) {
-  return bits >= 64 ? ~0ull : (1ull << bits) - 1;
-}
-
-}  // namespace
 
 const char* hetero_sub_adder_name(HeteroSubAdder kind) {
   switch (kind) {
@@ -114,7 +107,7 @@ bool HeteroBlockAdder::is_exact() const {
   return true;
 }
 
-HeteroErrorModel hetero_error_model(
+error::AdderErrorModel hetero_error_model(
     std::span<const HeteroBlockSpec> blocks) {
   const unsigned width = hetero_width(blocks);
   require(!blocks.empty() && width >= 1 && width <= 63,
@@ -128,7 +121,7 @@ HeteroErrorModel hetero_error_model(
   // expectation of that sum (linearity — no independence needed); ER comes
   // from a joint DP over (carry, any-error-so-far); WCE is attained at
   // all-ones operands, which maximize every term simultaneously.
-  HeteroErrorModel model;
+  error::AdderErrorModel model;
   double pc = 0.0;       // P(carry into the current block)
   double p[2][2] = {{1.0, 0.0}, {0.0, 0.0}};  // p[carry][err_so_far]
   unsigned offset = 0;

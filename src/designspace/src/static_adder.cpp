@@ -1,49 +1,12 @@
 #include "axc/designspace/static_adder.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 
 #include "axc/common/require.hpp"
-#include "axc/logic/adder_netlists.hpp"
 
 namespace axc::designspace {
 
-namespace {
-
-std::uint64_t low_mask(unsigned bits) {
-  return bits >= 64 ? ~0ull : (1ull << bits) - 1;
-}
-
-/// Low-part result of one static adder: the approximate low-k sum bits
-/// plus the carry fed into the exact upper part. The whole-adder error is
-/// (low + (carry << k)) - (al + bl), independent of the upper bits.
-struct LowPart {
-  std::uint64_t bits;
-  std::uint64_t carry;
-};
-
-LowPart low_part(StaticAdderKind kind, unsigned k, std::uint64_t al,
-                 std::uint64_t bl) {
-  LowPart out{0, 0};
-  switch (kind) {
-    case StaticAdderKind::Loa:
-      out.bits = al | bl;
-      out.carry = (al >> (k - 1)) & (bl >> (k - 1)) & 1;
-      break;
-    case StaticAdderKind::Loawa:
-      out.bits = al | bl;
-      out.carry = 0;
-      break;
-    case StaticAdderKind::Heaa:
-      out.bits = al ^ bl;
-      out.carry = (al >> (k - 1)) & (bl >> (k - 1)) & 1;
-      break;
-  }
-  return out;
-}
-
-}  // namespace
+using arith::FullAdderKind;
 
 const char* static_adder_kind_name(StaticAdderKind kind) {
   switch (kind) {
@@ -57,86 +20,22 @@ const char* static_adder_kind_name(StaticAdderKind kind) {
   return "?";
 }
 
-StaticApproxAdder::StaticApproxAdder(StaticAdderKind kind, unsigned width,
-                                     unsigned approx_lsbs)
-    : kind_(kind), width_(width), approx_lsbs_(approx_lsbs) {
+std::vector<FullAdderKind> static_adder_cells(StaticAdderKind kind,
+                                              unsigned width,
+                                              unsigned approx_lsbs) {
   require(width >= 1 && width <= 63 && approx_lsbs <= width,
-          "StaticApproxAdder: invalid shape");
-}
-
-std::uint64_t StaticApproxAdder::add(std::uint64_t a, std::uint64_t b,
-                                     unsigned carry_in) const {
-  a &= low_mask(width_);
-  b &= low_mask(width_);
-  const unsigned k = approx_lsbs_;
-  if (k == 0) return a + b + (carry_in ? 1 : 0);
-  require(carry_in == 0,
-          "StaticApproxAdder: the gate-level adders have no carry-in pin");
-  const LowPart low = low_part(kind_, k, a & low_mask(k), b & low_mask(k));
-  const std::uint64_t upper = (a >> k) + (b >> k) + low.carry;
-  return (upper << k) | low.bits;
-}
-
-std::string StaticApproxAdder::name() const {
-  return std::string(static_adder_kind_name(kind_)) +
-         std::to_string(width_) + "_" + std::to_string(approx_lsbs_);
-}
-
-logic::Netlist static_adder_netlist(StaticAdderKind kind, unsigned width,
-                                    unsigned approx_lsbs) {
-  switch (kind) {
-    case StaticAdderKind::Loa:
-      return logic::loa_adder_netlist(width, approx_lsbs);
-    case StaticAdderKind::Loawa:
-      return logic::loawa_adder_netlist(width, approx_lsbs);
-    case StaticAdderKind::Heaa:
-      return logic::heaa_adder_netlist(width, approx_lsbs);
+          "static_adder_cells: invalid shape");
+  std::vector<FullAdderKind> cells(width, FullAdderKind::Accurate);
+  if (approx_lsbs == 0) return cells;
+  const bool xor_sum = kind == StaticAdderKind::Heaa;
+  std::fill_n(cells.begin(), approx_lsbs,
+              xor_sum ? FullAdderKind::LowXor : FullAdderKind::LowOr);
+  // The top low cell recovers the carry into the exact part, except LOAWA.
+  if (kind != StaticAdderKind::Loawa) {
+    cells[approx_lsbs - 1] =
+        xor_sum ? FullAdderKind::HalfAdd : FullAdderKind::LowOrCarry;
   }
-  require(false, "static_adder_netlist: unknown kind");
-  return logic::Netlist("unreachable");
-}
-
-StaticAdderModel static_adder_error_model(StaticAdderKind kind,
-                                          unsigned width,
-                                          unsigned approx_lsbs) {
-  require(width >= 1 && width <= 63 && approx_lsbs <= width,
-          "static_adder_error_model: invalid shape");
-  require(approx_lsbs <= 12,
-          "static_adder_error_model: enumeration capped at 12 lsbs");
-  StaticAdderModel model;
-  const unsigned k = approx_lsbs;
-  if (k == 0) {
-    model.exact = true;
-    return model;
-  }
-  // The upper part is exact and the low-part carry enters it exactly, so
-  // the whole-adder error equals the low-part error for every setting of
-  // the upper bits: enumerate all 4^k low pairs and the statistics are
-  // mathematically exact (LOA can overshoot via its recovered carry, so
-  // errors are signed — accumulate |D|).
-  std::uint64_t err_count = 0;
-  std::uint64_t abs_sum = 0;
-  const std::uint64_t span = 1ull << k;
-  for (std::uint64_t al = 0; al < span; ++al) {
-    for (std::uint64_t bl = 0; bl < span; ++bl) {
-      const LowPart low = low_part(kind, k, al, bl);
-      const std::int64_t approx =
-          static_cast<std::int64_t>(low.bits + (low.carry << k));
-      const std::int64_t exact = static_cast<std::int64_t>(al + bl);
-      const std::uint64_t dist =
-          static_cast<std::uint64_t>(std::llabs(approx - exact));
-      if (dist != 0) ++err_count;
-      abs_sum += dist;
-      model.wce = std::max(model.wce, dist);
-    }
-  }
-  const double pairs = std::ldexp(1.0, 2 * static_cast<int>(k));
-  model.error_rate = static_cast<double>(err_count) / pairs;
-  model.med = static_cast<double>(abs_sum) / pairs;
-  model.nmed =
-      model.med / (std::ldexp(1.0, static_cast<int>(width) + 1) - 2.0);
-  model.exact = err_count == 0;
-  return model;
+  return cells;
 }
 
 }  // namespace axc::designspace

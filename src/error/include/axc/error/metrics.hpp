@@ -30,6 +30,17 @@ struct ErrorStats {
   double accuracy_percent() const { return (1.0 - error_rate) * 100.0; }
 };
 
+/// Exact error figures of an N-bit adder under i.i.d. uniform operands
+/// and carry-in 0, from an analytic model instead of a sweep
+/// (error::ripple_error_model, designspace::hetero_error_model).
+struct AdderErrorModel {
+  double error_rate = 0.0;  ///< P(approx != exact)
+  double med = 0.0;         ///< E|approx - exact|
+  double nmed = 0.0;        ///< med / (2^(N+1) - 2), the evaluate_adder ceiling
+  std::uint64_t wce = 0;    ///< max |approx - exact|
+  bool exact = false;       ///< true when the adder has zero error
+};
+
 /// Streaming accumulator for ErrorStats.
 ///
 /// \p output_ceiling is the largest exact output value possible (used for

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "axc/arith/full_adder.hpp"
@@ -26,7 +27,10 @@ struct FaNets {
 
 /// Instantiates one full adder of \p kind inside \p netlist. The mapping is
 /// the canonical compact structure per variant (e.g. the accurate adder is
-/// XOR2/XOR2 + MAJ3; ApxFA5 is pure wiring and adds no gates at all).
+/// XOR2/XOR2 + MAJ3; ApxFA5 is pure wiring and adds no gates at all). The
+/// lower-part cells are one OR2/XOR2 for the sum and an AND2 for a kept
+/// carry; a constant-0 output is a tie-low net, \p cin itself when it is
+/// already tied low.
 FaNets add_full_adder(Netlist& netlist, arith::FullAdderKind kind, NetId a,
                       NetId b, NetId cin);
 
@@ -42,14 +46,12 @@ std::vector<NetId> add_ripple_adder(Netlist& netlist,
                                     std::span<const arith::FullAdderKind> cells);
 
 /// A standalone ripple adder: inputs a0..aN-1, b0..bN-1; outputs s0..sN
-/// (sN is the carry out). LSB-approximate layouts come from
-/// arith::RippleAdder::lsb_approximated's cell vector.
-Netlist ripple_adder_netlist(std::span<const arith::FullAdderKind> cells);
-
-/// A standalone LOA (lower-part OR adder): the low \p approx_lsbs result
-/// bits are OR gates, one AND recovers the carry into the exact upper
-/// ripple part. Equivalent to arith::LoaAdder (tested).
-Netlist loa_adder_netlist(unsigned width, unsigned approx_lsbs);
+/// (sN is the carry out), carry-in tied low. LSB-approximate layouts come
+/// from arith::RippleAdder::lsb_approximated's cell vector, the LOA /
+/// LOAWA / HEAA layouts from designspace::static_adder_cells. An empty
+/// \p name gives "Ripple" + N, e.g. "Ripple16".
+Netlist ripple_adder_netlist(std::span<const arith::FullAdderKind> cells,
+                             std::string name = {});
 
 /// A standalone ETA-I adder: the low part is a saturation chain (from the
 /// first (1,1) pair downward all sum bits read 1), the upper part an exact
@@ -84,16 +86,5 @@ struct HeteroBlockSpec {
 /// a0..aN-1, b0..bN-1; outputs s0..sN where sN is the top block's
 /// carry-out (constant 0 unless the top block is Accurate).
 Netlist hetero_adder_netlist(std::span<const HeteroBlockSpec> blocks);
-
-/// A standalone LOAWA adder (LOA without the carry-recovery AND): the low
-/// \p approx_lsbs result bits are OR gates and the exact upper ripple part
-/// receives a constant-zero carry-in.
-Netlist loawa_adder_netlist(unsigned width, unsigned approx_lsbs);
-
-/// A standalone HEAA-style adder: the low \p approx_lsbs result bits are
-/// XOR gates (half-adder sums, carries dropped) and the exact upper part
-/// receives the carry predicted from the top approximate position,
-/// a[k-1] & b[k-1] — same recovery as LOA but with XOR low bits.
-Netlist heaa_adder_netlist(unsigned width, unsigned approx_lsbs);
 
 }  // namespace axc::logic

@@ -8,6 +8,44 @@ namespace axc::logic {
 
 using arith::FullAdderKind;
 
+namespace {
+
+/// The tie-low net for a cell's constant-0 output. A carry-in that is
+/// already tied low is reused, so a chain of carry-dropping cells shares
+/// one constant net.
+NetId tie_low(Netlist& netlist, NetId cin) {
+  return netlist.driver(cin) == CellType::Const0 ? cin
+                                                 : netlist.add_const(false);
+}
+
+struct AdderShell {
+  Netlist netlist;
+  std::vector<NetId> a;
+  std::vector<NetId> b;
+};
+
+AdderShell make_adder_shell(const std::string& name, unsigned width) {
+  AdderShell shell{Netlist(name), {}, {}};
+  shell.a.resize(width);
+  shell.b.resize(width);
+  for (unsigned i = 0; i < width; ++i) {
+    shell.a[i] = shell.netlist.add_input("a" + std::to_string(i));
+  }
+  for (unsigned i = 0; i < width; ++i) {
+    shell.b[i] = shell.netlist.add_input("b" + std::to_string(i));
+  }
+  return shell;
+}
+
+/// Marks \p sums as the outputs s0..sN.
+void mark_sum_outputs(Netlist& netlist, std::span<const NetId> sums) {
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    netlist.mark_output(sums[i], "s" + std::to_string(i));
+  }
+}
+
+}  // namespace
+
 FaNets add_full_adder(Netlist& netlist, FullAdderKind kind, NetId a, NetId b,
                       NetId cin) {
   switch (kind) {
@@ -46,6 +84,22 @@ FaNets add_full_adder(Netlist& netlist, FullAdderKind kind, NetId a, NetId b,
       // Pure wiring: Sum = B, Cout = A. Zero gates, zero power — the
       // Table III row with area 0.
       return {b, a};
+    case FullAdderKind::LowOr:
+      return {netlist.add_gate(CellType::Or2, a, b), tie_low(netlist, cin)};
+    case FullAdderKind::LowOrCarry: {
+      const NetId sum = netlist.add_gate(CellType::Or2, a, b);
+      return {sum, netlist.add_gate(CellType::And2, a, b)};
+    }
+    case FullAdderKind::LowXor:
+      return {netlist.add_gate(CellType::Xor2, a, b), tie_low(netlist, cin)};
+    case FullAdderKind::HalfAdd: {
+      const NetId sum = netlist.add_gate(CellType::Xor2, a, b);
+      return {sum, netlist.add_gate(CellType::And2, a, b)};
+    }
+    case FullAdderKind::Zero: {
+      const NetId zero = tie_low(netlist, cin);
+      return {zero, zero};
+    }
   }
   require(false, "add_full_adder: unknown kind");
   return {};
@@ -79,77 +133,15 @@ std::vector<NetId> add_ripple_adder(
   return sums;
 }
 
-Netlist ripple_adder_netlist(std::span<const FullAdderKind> cells) {
-  const std::size_t width = cells.size();
-  Netlist netlist("Ripple" + std::to_string(width));
-  std::vector<NetId> a(width);
-  std::vector<NetId> b(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    a[i] = netlist.add_input("a" + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < width; ++i) {
-    b[i] = netlist.add_input("b" + std::to_string(i));
-  }
-  const NetId cin = netlist.add_const(false);
-  const std::vector<NetId> sums = add_ripple_adder(netlist, a, b, cin, cells);
-  for (std::size_t i = 0; i < sums.size(); ++i) {
-    netlist.mark_output(sums[i], "s" + std::to_string(i));
-  }
-  return netlist;
-}
-
-namespace {
-
-struct AdderShell {
-  Netlist netlist;
-  std::vector<NetId> a;
-  std::vector<NetId> b;
-};
-
-AdderShell make_adder_shell(const std::string& name, unsigned width) {
-  AdderShell shell{Netlist(name), {}, {}};
-  shell.a.resize(width);
-  shell.b.resize(width);
-  for (unsigned i = 0; i < width; ++i) {
-    shell.a[i] = shell.netlist.add_input("a" + std::to_string(i));
-  }
-  for (unsigned i = 0; i < width; ++i) {
-    shell.b[i] = shell.netlist.add_input("b" + std::to_string(i));
-  }
-  return shell;
-}
-
-}  // namespace
-
-Netlist loa_adder_netlist(unsigned width, unsigned approx_lsbs) {
-  require(width >= 1 && width <= 63 && approx_lsbs <= width,
-          "loa_adder_netlist: invalid shape");
+Netlist ripple_adder_netlist(std::span<const FullAdderKind> cells,
+                             std::string name) {
+  const auto width = static_cast<unsigned>(cells.size());
   AdderShell shell = make_adder_shell(
-      "LOA" + std::to_string(width) + "_" + std::to_string(approx_lsbs),
-      width);
-  Netlist& nl = shell.netlist;
-  const unsigned k = approx_lsbs;
-  std::vector<NetId> sums;
-  for (unsigned i = 0; i < k; ++i) {
-    sums.push_back(nl.add_gate(CellType::Or2, shell.a[i], shell.b[i]));
-  }
-  NetId carry = k == 0 ? nl.add_const(false)
-                       : nl.add_gate(CellType::And2, shell.a[k - 1],
-                                     shell.b[k - 1]);
-  const std::vector<FullAdderKind> cells(width - k,
-                                         FullAdderKind::Accurate);
-  if (width > k) {
-    const std::vector<NetId> upper = add_ripple_adder(
-        nl, std::span(shell.a).subspan(k), std::span(shell.b).subspan(k),
-        carry, cells);
-    sums.insert(sums.end(), upper.begin(), upper.end());
-  } else {
-    sums.push_back(carry);  // degenerate: whole adder approximate
-  }
-  for (std::size_t i = 0; i < sums.size(); ++i) {
-    nl.mark_output(sums[i], "s" + std::to_string(i));
-  }
-  return nl;
+      name.empty() ? "Ripple" + std::to_string(width) : name, width);
+  const NetId cin = shell.netlist.add_const(false);
+  mark_sum_outputs(shell.netlist, add_ripple_adder(shell.netlist, shell.a,
+                                                   shell.b, cin, cells));
+  return std::move(shell.netlist);
 }
 
 Netlist etai_adder_netlist(unsigned width, unsigned approx_lsbs) {
@@ -189,10 +181,8 @@ Netlist etai_adder_netlist(unsigned width, unsigned approx_lsbs) {
   } else {
     sums.push_back(zero);  // carry-out is constant 0
   }
-  for (std::size_t i = 0; i < sums.size(); ++i) {
-    nl.mark_output(sums[i], "s" + std::to_string(i));
-  }
-  return nl;
+  mark_sum_outputs(nl, sums);
+  return std::move(shell.netlist);
 }
 
 Netlist hetero_adder_netlist(std::span<const HeteroBlockSpec> blocks) {
@@ -260,68 +250,8 @@ Netlist hetero_adder_netlist(std::span<const HeteroBlockSpec> blocks) {
     offset += w;
   }
   sums.push_back(carry);
-  for (std::size_t i = 0; i < sums.size(); ++i) {
-    nl.mark_output(sums[i], "s" + std::to_string(i));
-  }
-  return nl;
-}
-
-Netlist loawa_adder_netlist(unsigned width, unsigned approx_lsbs) {
-  require(width >= 1 && width <= 63 && approx_lsbs <= width,
-          "loawa_adder_netlist: invalid shape");
-  AdderShell shell = make_adder_shell(
-      "LOAWA" + std::to_string(width) + "_" + std::to_string(approx_lsbs),
-      width);
-  Netlist& nl = shell.netlist;
-  const unsigned k = approx_lsbs;
-  std::vector<NetId> sums;
-  for (unsigned i = 0; i < k; ++i) {
-    sums.push_back(nl.add_gate(CellType::Or2, shell.a[i], shell.b[i]));
-  }
-  const NetId zero = nl.add_const(false);
-  const std::vector<FullAdderKind> cells(width - k, FullAdderKind::Accurate);
-  if (width > k) {
-    const std::vector<NetId> upper = add_ripple_adder(
-        nl, std::span(shell.a).subspan(k), std::span(shell.b).subspan(k),
-        zero, cells);
-    sums.insert(sums.end(), upper.begin(), upper.end());
-  } else {
-    sums.push_back(zero);  // degenerate: whole adder approximate
-  }
-  for (std::size_t i = 0; i < sums.size(); ++i) {
-    nl.mark_output(sums[i], "s" + std::to_string(i));
-  }
-  return nl;
-}
-
-Netlist heaa_adder_netlist(unsigned width, unsigned approx_lsbs) {
-  require(width >= 1 && width <= 63 && approx_lsbs <= width,
-          "heaa_adder_netlist: invalid shape");
-  AdderShell shell = make_adder_shell(
-      "HEAA" + std::to_string(width) + "_" + std::to_string(approx_lsbs),
-      width);
-  Netlist& nl = shell.netlist;
-  const unsigned k = approx_lsbs;
-  std::vector<NetId> sums;
-  for (unsigned i = 0; i < k; ++i) {
-    sums.push_back(nl.add_gate(CellType::Xor2, shell.a[i], shell.b[i]));
-  }
-  NetId carry = k == 0 ? nl.add_const(false)
-                       : nl.add_gate(CellType::And2, shell.a[k - 1],
-                                     shell.b[k - 1]);
-  const std::vector<FullAdderKind> cells(width - k, FullAdderKind::Accurate);
-  if (width > k) {
-    const std::vector<NetId> upper = add_ripple_adder(
-        nl, std::span(shell.a).subspan(k), std::span(shell.b).subspan(k),
-        carry, cells);
-    sums.insert(sums.end(), upper.begin(), upper.end());
-  } else {
-    sums.push_back(carry);  // degenerate: whole adder approximate
-  }
-  for (std::size_t i = 0; i < sums.size(); ++i) {
-    nl.mark_output(sums[i], "s" + std::to_string(i));
-  }
-  return nl;
+  mark_sum_outputs(nl, sums);
+  return std::move(shell.netlist);
 }
 
 Netlist gear_adder_netlist(const arith::GeArConfig& config) {

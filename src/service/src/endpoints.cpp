@@ -159,7 +159,8 @@ CharacterizeResponse handle(const CharacterizeAdderRequest& request,
     check(request.param_a <= request.width,
           "characterize_adder: approx_lsbs exceeds width");
     if (request.family == AdderFamily::Loa) {
-      netlist = logic::loa_adder_netlist(request.width, request.param_a);
+      netlist = logic::ripple_adder_netlist(designspace::static_adder_cells(
+          designspace::StaticAdderKind::Loa, request.width, request.param_a));
     } else if (request.family == AdderFamily::Etai) {
       netlist = logic::etai_adder_netlist(request.width, request.param_a);
     } else {

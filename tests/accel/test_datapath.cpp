@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "axc/arith/lpa_adders.hpp"
+#include "axc/designspace/static_adder.hpp"
 
 namespace axc::accel {
 namespace {
@@ -103,7 +103,9 @@ TEST(Datapath, AnalyzeReportsErrorsForApproxGraph) {
 // plain sum lets them through.
 TEST(Datapath, MinMasksUpstreamErrors) {
   const auto approx_adder = [] {
-    return std::make_shared<const arith::LoaAdder>(8, 4);
+    return std::make_shared<const arith::RippleAdder>(
+        designspace::static_adder_cells(designspace::StaticAdderKind::Loa, 8,
+                                        4));
   };
 
   Datapath open_path("open");

@@ -113,6 +113,12 @@ TEST(RippleAdder, NameSummarizesLayout) {
             "Ripple<ApxFA3 x4/8>");
   EXPECT_EQ(RippleAdder::lsb_approximated(8, FullAdderKind::Apx3, 0).name(),
             "Ripple<AccuFA/8>");
+  // Any other layout: its runs, LSB first, up to the top approximate cell.
+  EXPECT_EQ(RippleAdder({FullAdderKind::Apx1, FullAdderKind::Accurate,
+                         FullAdderKind::Zero, FullAdderKind::Zero,
+                         FullAdderKind::Accurate})
+                .name(),
+            "Ripple<ApxFA1 x1+AccuFA x1+Zero x2/5>");
 }
 
 TEST(RippleAdder, ValidationRejectsBadShapes) {
@@ -226,14 +232,14 @@ TEST_P(CompiledRippleAdder, EqualsReferenceOnSeededInputsUpToWidth63) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, CompiledRippleAdder, ::testing::ValuesIn(kAllFullAdderKinds),
+    AllKinds, CompiledRippleAdder, ::testing::ValuesIn(kAllCellKinds),
     [](const ::testing::TestParamInfo<FullAdderKind>& info) {
       return std::string(full_adder_name(info.param));
     });
 
 TEST(CompiledRippleAdder, FullWidthApproximationHasNoUndefinedShift) {
   // k = width = 63: sixteen chunks, the last one padded past the width.
-  for (const FullAdderKind kind : kAllFullAdderKinds) {
+  for (const FullAdderKind kind : kAllCellKinds) {
     const RippleAdder adder = RippleAdder::lsb_approximated(63, kind, 63);
     Rng rng(63);
     for (int i = 0; i < 4096; ++i) {
@@ -252,7 +258,7 @@ TEST(CompiledRippleAdder, MixedNonPrefixLayoutsEqualReference) {
     for (FullAdderKind& cell : cells) {
       // Accurate cells inside the approximate region, approximate cells
       // high up, and everything between.
-      cell = kAllFullAdderKinds[rng.below(kFullAdderKindCount)];
+      cell = kAllCellKinds[rng.below(kCellKindCount)];
     }
     const RippleAdder adder(cells);
     EXPECT_EQ(adder.is_exact(),
@@ -294,7 +300,7 @@ TEST(CompiledRippleAdder, ConcurrentConstructionSharesCorrectTables) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &failures] {
       Rng rng(static_cast<std::uint64_t>(t));
-      for (const FullAdderKind kind : kAllFullAdderKinds) {
+      for (const FullAdderKind kind : kAllCellKinds) {
         for (unsigned width = 1; width <= 16; ++width) {
           for (unsigned k = 0; k <= width; ++k) {
             const RippleAdder adder =

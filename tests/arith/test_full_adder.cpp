@@ -120,6 +120,34 @@ TEST(FullAdder, ApxFa5IsPureWiring) {
   }
 }
 
+TEST(FullAdder, LowerPartCellsIgnoreCarryIn) {
+  struct Cell {
+    FullAdderKind kind;
+    bool xor_sum;     // sum = a ^ b, else a | b
+    bool keep_carry;  // carry = a & b, else 0
+  };
+  const Cell cells[] = {{FullAdderKind::LowOr, false, false},
+                        {FullAdderKind::LowOrCarry, false, true},
+                        {FullAdderKind::LowXor, true, false},
+                        {FullAdderKind::HalfAdd, true, true}};
+  for (unsigned row = 0; row < 8; ++row) {
+    const unsigned a = (row >> 2) & 1u;
+    const unsigned b = (row >> 1) & 1u;
+    for (const Cell& cell : cells) {
+      const auto out = full_add(cell.kind, a, b, row & 1u);
+      EXPECT_EQ(out.sum, cell.xor_sum ? a ^ b : a | b)
+          << full_adder_name(cell.kind) << " row " << row;
+      EXPECT_EQ(out.carry, cell.keep_carry ? a & b : 0u)
+          << full_adder_name(cell.kind) << " row " << row;
+    }
+    const auto zero = full_add(FullAdderKind::Zero, a, b, row & 1u);
+    EXPECT_EQ(zero.sum, 0u);
+    EXPECT_EQ(zero.carry, 0u);
+  }
+  EXPECT_THROW(paper_full_adder_data(FullAdderKind::LowOr),
+               std::invalid_argument);
+}
+
 TEST(FullAdder, NonBitInputRejected) {
   EXPECT_THROW(full_add(FullAdderKind::Accurate, 2, 0, 0),
                std::invalid_argument);

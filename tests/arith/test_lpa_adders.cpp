@@ -1,14 +1,26 @@
+// LOA and truncation are RippleAdder cell vectors; ETA-I keeps its own
+// class. The LOA/Trunc suite names predate the fold into RippleAdder.
 #include "axc/arith/lpa_adders.hpp"
 
 #include <gtest/gtest.h>
 
+#include "axc/designspace/static_adder.hpp"
 #include "axc/error/evaluate.hpp"
 
 namespace axc::arith {
 namespace {
 
+RippleAdder loa(unsigned width, unsigned k) {
+  return RippleAdder(designspace::static_adder_cells(
+      designspace::StaticAdderKind::Loa, width, k));
+}
+
+RippleAdder truncated(unsigned width, unsigned k) {
+  return RippleAdder::lsb_approximated(width, FullAdderKind::Zero, k);
+}
+
 TEST(LoaAdder, ZeroApproxBitsIsExact) {
-  const LoaAdder adder(8, 0);
+  const RippleAdder adder = loa(8, 0);
   EXPECT_TRUE(adder.is_exact());
   for (unsigned a = 0; a < 256; a += 3) {
     for (unsigned b = 0; b < 256; b += 7) {
@@ -18,7 +30,7 @@ TEST(LoaAdder, ZeroApproxBitsIsExact) {
 }
 
 TEST(LoaAdder, HandComputedCases) {
-  const LoaAdder adder(8, 4);
+  const RippleAdder adder = loa(8, 4);
   // Low nibbles OR'd: 0b0101 | 0b0011 = 0b0111; carry = a3 & b3 = 0;
   // high: 0 + 0 = 0 -> result 0b0111.
   EXPECT_EQ(adder.add(0x05, 0x03, 0), 0x07u);
@@ -26,11 +38,14 @@ TEST(LoaAdder, HandComputedCases) {
   EXPECT_EQ(adder.add(0x1F, 0x0F, 0), 0x2Fu);
   // Upper part stays exact: 0xF0 + 0xF0 -> high 0xF+0xF = 0x1E -> 0x1E0.
   EXPECT_EQ(adder.add(0xF0, 0xF0, 0), 0x1E0u);
+  // The OR cells have no carry input: a carry-in is absorbed.
+  EXPECT_EQ(adder.add(0x05, 0x03, 1), 0x07u);
+  EXPECT_EQ(adder.add(0x1F, 0x0F, 1), 0x2Fu);
 }
 
 TEST(LoaAdder, UpperBitsAlwaysWithinOneCarry) {
   // LOA's high part differs from exact by at most the mispredicted carry.
-  const LoaAdder adder(8, 4);
+  const RippleAdder adder = loa(8, 4);
   for (unsigned a = 0; a < 256; ++a) {
     for (unsigned b = 0; b < 256; ++b) {
       const std::int64_t high_exact = (a + b) >> 4;
@@ -68,7 +83,7 @@ TEST(EtaiAdder, NoCarryEverCrossesTheSplit) {
 }
 
 TEST(TruncatedAdder, LowBitsAreZero) {
-  const TruncatedAdder adder(8, 3);
+  const RippleAdder adder = truncated(8, 3);
   for (unsigned a = 0; a < 256; a += 5) {
     for (unsigned b = 0; b < 256; b += 3) {
       const std::uint64_t sum = adder.add(a, b, 0);
@@ -83,15 +98,12 @@ TEST(LpaAdders, QualityOrderingOverUniformInputs) {
   // mean error distance holds: ETAI/LOA track the low bits (small MED),
   // truncation discards them entirely (larger MED).
   const unsigned width = 10, k = 4;
-  const LoaAdder loa(width, k);
-  const EtaiAdder etai(width, k);
-  const TruncatedAdder trunc(width, k);
   const auto med = [](const Adder& adder) {
     return error::evaluate_adder(adder).mean_error_distance;
   };
-  const double loa_med = med(loa);
-  const double etai_med = med(etai);
-  const double trunc_med = med(trunc);
+  const double loa_med = med(loa(width, k));
+  const double etai_med = med(EtaiAdder(width, k));
+  const double trunc_med = med(truncated(width, k));
   EXPECT_LT(loa_med, trunc_med);
   EXPECT_LT(etai_med, trunc_med);
   EXPECT_GT(loa_med, 0.0);
@@ -99,16 +111,16 @@ TEST(LpaAdders, QualityOrderingOverUniformInputs) {
 }
 
 TEST(LpaAdders, ShapeValidation) {
-  EXPECT_THROW(LoaAdder(0, 0), std::invalid_argument);
-  EXPECT_THROW(LoaAdder(8, 9), std::invalid_argument);
+  EXPECT_THROW(loa(0, 0), std::invalid_argument);
+  EXPECT_THROW(loa(8, 9), std::invalid_argument);
   EXPECT_THROW(EtaiAdder(64, 0), std::invalid_argument);
-  EXPECT_THROW(TruncatedAdder(8, 9), std::invalid_argument);
+  EXPECT_THROW(truncated(8, 9), std::invalid_argument);
 }
 
 TEST(LpaAdders, Names) {
-  EXPECT_EQ(LoaAdder(8, 4).name(), "LOA(8,4)");
+  EXPECT_EQ(loa(8, 4).name(), "Ripple<LowOr x3+LowOrCarry x1/8>");
   EXPECT_EQ(EtaiAdder(8, 4).name(), "ETAI(8,4)");
-  EXPECT_EQ(TruncatedAdder(8, 4).name(), "Trunc(8,4)");
+  EXPECT_EQ(truncated(8, 4).name(), "Ripple<Zero x4/8>");
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "axc/accel/sad.hpp"
 #include "axc/core/pareto.hpp"
+#include "axc/error/ripple_model.hpp"
 
 namespace axc::designspace {
 namespace {
@@ -40,7 +42,7 @@ TEST(ExploreHeteroSpace, GridShapeAndBaseline) {
 TEST(ExploreHeteroSpace, EntriesMatchStandaloneModels) {
   const auto space = explore_hetero_space(8, 2, true);
   for (const auto& entry : space) {
-    const HeteroErrorModel model = hetero_error_model(entry.blocks);
+    const error::AdderErrorModel model = hetero_error_model(entry.blocks);
     EXPECT_DOUBLE_EQ(entry.model.med, model.med);
     EXPECT_DOUBLE_EQ(entry.model.error_rate, model.error_rate);
     EXPECT_DOUBLE_EQ(entry.point.accuracy_percent,
@@ -103,10 +105,13 @@ TEST(ExploreStaticAdderSpace, GridShapeAndModels) {
   EXPECT_EQ(space[0].approx_lsbs, 0u);
   EXPECT_TRUE(space[0].model.exact);
   for (const auto& entry : space) {
-    const StaticAdderModel model = static_adder_error_model(
-        entry.kind, 10, entry.approx_lsbs);
+    const error::AdderErrorModel model = error::ripple_error_model(
+        static_adder_cells(entry.kind, 10, entry.approx_lsbs));
     EXPECT_DOUBLE_EQ(entry.model.med, model.med);
     EXPECT_EQ(entry.model.wce, model.wce);
+    EXPECT_EQ(entry.point.name,
+              static_adder_kind_name(entry.kind) + std::string("10_") +
+                  std::to_string(entry.approx_lsbs));
   }
 }
 

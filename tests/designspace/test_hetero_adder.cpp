@@ -32,7 +32,7 @@ error::EvalOptions exhaustive_options() {
 void expect_model_matches_exhaustive(
     const std::vector<HeteroBlockSpec>& blocks) {
   const HeteroBlockAdder adder(blocks);
-  const HeteroErrorModel model = hetero_error_model(blocks);
+  const error::AdderErrorModel model = hetero_error_model(blocks);
   const error::ErrorStats stats =
       error::evaluate_adder(adder, exhaustive_options());
   ASSERT_TRUE(stats.exhaustive) << adder.name();
@@ -99,7 +99,7 @@ TEST(HeteroBlockAdder, AllAccurateIsExact) {
   const HeteroBlockAdder adder(blocks);
   EXPECT_TRUE(adder.is_exact());
   EXPECT_EQ(adder.add(4095, 4095, 1), 8191u);
-  const HeteroErrorModel model = hetero_error_model(blocks);
+  const error::AdderErrorModel model = hetero_error_model(blocks);
   EXPECT_TRUE(model.exact);
   EXPECT_EQ(model.wce, 0u);
   EXPECT_EQ(model.med, 0.0);

@@ -30,7 +30,7 @@ TEST_P(FaNetlistEquivalence, MatchesBehaviouralModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, FaNetlistEquivalence,
-                         ::testing::ValuesIn(arith::kAllFullAdderKinds),
+                         ::testing::ValuesIn(arith::kAllCellKinds),
                          [](const auto& info) {
                            return std::string(
                                arith::full_adder_name(info.param));
@@ -62,6 +62,27 @@ TEST(RippleNetlist, EquivalentToBehaviouralRipple8Bit) {
         const std::uint64_t word = a | (static_cast<std::uint64_t>(b) << 8);
         ASSERT_EQ(sim.apply_word(word), model.add(a, b, 0))
             << arith::full_adder_name(kind) << " a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
+// Every cell at every low-part size: the gate mapping of add_full_adder
+// (including the shared tie-low of the carry-dropping cells) equals the
+// compiled behavioural ripple on all 6-bit operand pairs.
+TEST(RippleNetlist, EveryCellLayoutMatchesBehaviourAtWidth6) {
+  constexpr unsigned kWidth = 6;
+  for (const FullAdderKind kind : arith::kAllCellKinds) {
+    for (unsigned k = 0; k <= kWidth; ++k) {
+      const arith::RippleAdder model =
+          arith::RippleAdder::lsb_approximated(kWidth, kind, k);
+      const Netlist netlist = ripple_adder_netlist(model.cells());
+      Simulator sim(netlist);
+      for (std::uint64_t a = 0; a < (1u << kWidth); ++a) {
+        for (std::uint64_t b = 0; b < (1u << kWidth); ++b) {
+          ASSERT_EQ(sim.apply_word(a | (b << kWidth)), model.add(a, b, 0))
+              << model.name() << " a=" << a << " b=" << b;
+        }
       }
     }
   }

@@ -7,6 +7,7 @@
 #include "axc/accel/sad_netlist.hpp"
 #include "axc/common/bits.hpp"
 #include "axc/common/rng.hpp"
+#include "axc/designspace/static_adder.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/mul_netlists.hpp"
 #include "axc/logic/simulator.hpp"
@@ -135,7 +136,8 @@ TEST(BitslicedEquivalence, RippleAdderWideRandomStreams) {
 }
 
 TEST(BitslicedEquivalence, LoaAdderExhaustiveAndRandom) {
-  const Netlist nl = loa_adder_netlist(8, 4);
+  const Netlist nl = ripple_adder_netlist(designspace::static_adder_cells(
+      designspace::StaticAdderKind::Loa, 8, 4));
   expect_exhaustive_equivalence(nl);
   expect_random_stream_equivalence(nl, 16, 0x10A);
 }

@@ -12,6 +12,7 @@
 #include "axc/accel/sad_netlist.hpp"
 #include "axc/common/rng.hpp"
 #include "axc/designspace/compressor_mul.hpp"
+#include "axc/designspace/static_adder.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/bitsliced.hpp"
 #include "axc/logic/mul_netlists.hpp"
@@ -24,6 +25,8 @@ namespace {
 
 using arith::FullAdderKind;
 using arith::Mul2x2Kind;
+using designspace::StaticAdderKind;
+using designspace::static_adder_cells;
 
 // ---------------------------------------------------------------------------
 // Levelization / compile-time validation.
@@ -390,7 +393,9 @@ TEST(TapeEquivalence, AllAdderFactories) {
   const arith::RippleAdder ripple =
       arith::RippleAdder::lsb_approximated(8, FullAdderKind::Apx3, 4);
   expect_engines_agree(ripple_adder_netlist(ripple.cells()), 12, 0x7A10);
-  expect_engines_agree(loa_adder_netlist(8, 4), 12, 0x7A11);
+  expect_engines_agree(
+      ripple_adder_netlist(static_adder_cells(StaticAdderKind::Loa, 8, 4)),
+      12, 0x7A11);
   expect_engines_agree(etai_adder_netlist(8, 4), 12, 0x7A12);
   expect_engines_agree(gear_adder_netlist({8, 2, 2}), 12, 0x7A13);
 }
@@ -423,8 +428,12 @@ TEST(TapeEquivalence, DesignspaceAdderFactories) {
   const std::vector<HeteroBlockSpec> cut_only = {
       {HeteroSubAdder::CarryCut, 4}, {HeteroSubAdder::CarryCut, 4}};
   expect_engines_agree(hetero_adder_netlist(cut_only), 12, 0x7C02);
-  expect_engines_agree(loawa_adder_netlist(8, 3), 12, 0x7C03);
-  expect_engines_agree(heaa_adder_netlist(8, 3), 12, 0x7C04);
+  expect_engines_agree(
+      ripple_adder_netlist(static_adder_cells(StaticAdderKind::Loawa, 8, 3)),
+      12, 0x7C03);
+  expect_engines_agree(
+      ripple_adder_netlist(static_adder_cells(StaticAdderKind::Heaa, 8, 3)),
+      12, 0x7C04);
 }
 
 TEST(TapeEquivalence, CompressorMulFactories) {
@@ -477,7 +486,8 @@ TEST(TapeEquivalence, ExhaustiveEnumerationMatchesScalarSimulator) {
 // set must keep outputs (inactive lanes included) and toggle accounting
 // identical to the per-lane reference at every step.
 TEST(TapeEquivalence, ShrinkThenGrowLaneReplay) {
-  const Netlist nl = loa_adder_netlist(8, 4);
+  const Netlist nl =
+      ripple_adder_netlist(static_adder_cells(StaticAdderKind::Loa, 8, 4));
   const std::size_t n_in = nl.inputs().size();
   LaneReplay reference(nl, 64);
   BitslicedSimulator packed(nl);

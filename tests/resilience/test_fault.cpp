@@ -8,12 +8,18 @@
 #include "axc/accel/sad.hpp"
 #include "axc/accel/sad_netlist.hpp"
 #include "axc/common/rng.hpp"
+#include "axc/designspace/static_adder.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/mul_netlists.hpp"
 #include "axc/logic/simulator.hpp"
 
 namespace axc::resilience {
 namespace {
+
+logic::Netlist loa_netlist(unsigned width, unsigned k) {
+  return logic::ripple_adder_netlist(designspace::static_adder_cells(
+      designspace::StaticAdderKind::Loa, width, k));
+}
 
 TEST(FaultInjector, ZeroProbabilityIsTransparent) {
   FaultInjector injector({0.0, 42});
@@ -70,7 +76,7 @@ TEST(FaultInjector, RejectsInvalidProbability) {
 }
 
 TEST(FaultySimulator, FaultFreeMatchesPlainSimulator) {
-  const logic::Netlist netlist = logic::loa_adder_netlist(8, 2);
+  const logic::Netlist netlist = loa_netlist(8, 2);
   FaultySimulator faulty(netlist, {0.0, 3});
   logic::Simulator plain(netlist);
   Rng rng(31);
@@ -82,7 +88,7 @@ TEST(FaultySimulator, FaultFreeMatchesPlainSimulator) {
 }
 
 TEST(FaultySimulator, GateUpsetsPerturbOutputs) {
-  const logic::Netlist netlist = logic::loa_adder_netlist(8, 0);
+  const logic::Netlist netlist = loa_netlist(8, 0);
   FaultySimulator faulty(netlist, {0.05, 17});
   logic::Simulator plain(netlist);
   Rng rng(32);
@@ -97,7 +103,7 @@ TEST(FaultySimulator, GateUpsetsPerturbOutputs) {
 }
 
 TEST(FaultySimulator, SeededRunsAreDeterministic) {
-  const logic::Netlist netlist = logic::loa_adder_netlist(6, 1);
+  const logic::Netlist netlist = loa_netlist(6, 1);
   FaultySimulator lhs(netlist, {0.1, 77});
   FaultySimulator rhs(netlist, {0.1, 77});
   Rng rng(33);

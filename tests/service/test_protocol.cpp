@@ -473,5 +473,53 @@ TEST(Protocol, BoolByteOtherThanZeroOrOneIsBadRequest) {
   }
 }
 
+// The five lower-part cells after ApxFA5 stay off the wire: a raw cell
+// byte of 6 (the first of them) in any request that carries a
+// FullAdderKind must decode as BadRequest, as any out-of-range enum does.
+template <class Request, class Decode>
+void expect_cell_byte_rejected(Request request,
+                               arith::FullAdderKind Request::*cell,
+                               Decode decode, const char* name) {
+  request.*cell = arith::FullAdderKind::Accurate;
+  const Bytes zero = encode_request(request);
+  request.*cell = arith::FullAdderKind::Apx5;
+  Bytes wire = encode_request(request);
+  ASSERT_EQ(wire.size(), zero.size()) << name;
+  std::size_t offset = wire.size();
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    if (wire[i] != zero[i]) {
+      ASSERT_EQ(offset, wire.size()) << name << ": cell byte not unique";
+      offset = i;
+    }
+  }
+  ASSERT_LT(offset, wire.size()) << name;
+  ASSERT_EQ(wire[offset], 5u) << name;
+  wire[offset] = static_cast<std::uint8_t>(arith::FullAdderKind::LowOr);
+  ASSERT_EQ(wire[offset], 6u) << name;
+  EXPECT_THROW(
+      decode(std::span<const std::uint8_t>(wire).subspan(kRequestHeaderBytes)),
+      DecodeError)
+      << name;
+  EXPECT_EQ(response_status(dispatch(wire)), Status::BadRequest) << name;
+}
+
+TEST(Protocol, LowerPartCellByteIsBadRequest) {
+  static_assert(wire_enum_max(arith::FullAdderKind{}) ==
+                arith::kFullAdderKindCount - 1);
+  CharacterizeAdderRequest adder = sample_adder_request();
+  adder.family = AdderFamily::Ripple;
+  expect_cell_byte_rejected(adder, &CharacterizeAdderRequest::cell,
+                            decode_characterize_adder, "characterize_adder");
+  CharacterizeMultiplierRequest mul;
+  mul.width = 4;
+  expect_cell_byte_rejected(mul, &CharacterizeMultiplierRequest::cell,
+                            decode_characterize_multiplier,
+                            "characterize_multiplier");
+  EvaluateErrorRequest eval;
+  eval.target = EvalTarget::Multiplier;
+  expect_cell_byte_rejected(eval, &EvaluateErrorRequest::mul_cell,
+                            decode_evaluate_error, "evaluate_error");
+}
+
 }  // namespace
 }  // namespace axc::service

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <vector>
 
+#include "axc/designspace/static_adder.hpp"
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/characterize.hpp"
 #include "axc/obs/obs.hpp"
@@ -80,7 +81,9 @@ TEST_F(ServerTest, CharacterizeAdderMatchesDirectLibraryCall) {
   req.seed = 3;
   const CharacterizeResponse got = client.call(req);
 
-  const logic::Netlist netlist = logic::loa_adder_netlist(12, 5);
+  const logic::Netlist netlist =
+      logic::ripple_adder_netlist(designspace::static_adder_cells(
+          designspace::StaticAdderKind::Loa, 12, 5));
   const logic::Characterization want =
       logic::characterize(netlist, std::nullopt, 256, 3);
   EXPECT_DOUBLE_EQ(got.area_ge, want.area_ge);
